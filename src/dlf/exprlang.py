@@ -435,6 +435,9 @@ def _d(expr: Expr, var: str) -> Expr:
     if isinstance(expr, Call):
         a = expr.arg
         da = _d(a, var)
+        if _is_num(da, 0.0):
+            # constant in var, so abs of an argument free of var is fine too
+            return _ZERO
         if expr.fn == "sin":
             return _mul(Call("cos", a), da)
         if expr.fn == "cos":

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .basis import DlfBasis, NodeSet, generate_nodes, make_psi_family, validate_
 from .diffmat import dm_matrix
 from .errors import (
     AssemblyError,
+    ExprDiffError,
     InvalidParameterError,
     NewtonError,
     SingularSystemError,
@@ -101,7 +103,8 @@ class CollocationProblem:
     ``conditions`` entries are dicts ``{"face": "a1" | "b1" | ..., "order":
     k, "expr": text}``; the expression gives the condition value and may
     reference the coordinates of the other dimensions (a constant for 1-d
-    problems).  ``linear=None`` means the solver decides syntactically.
+    problems).  ``linear=None`` means the solver decides from the
+    residual's partial derivatives in the ``u``-symbols.
     """
 
     dim: int
@@ -116,6 +119,8 @@ class CollocationProblem:
     _residual_tree: object = field(default=None, init=False, repr=False)
     _rhs_tree: object = field(default=None, init=False, repr=False)
     _condition_specs: list = field(default=None, init=False, repr=False)
+    # [(symbol, orders, dR/dsymbol)] for every u-symbol in the residual
+    _partials: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         p = self.dim
@@ -145,7 +150,8 @@ class CollocationProblem:
         self._rhs_tree = exprlang.parse_expr(self.rhs)
 
         coords = {_coord_name(d, p) for d in range(p)}
-        for name in exprlang.expr_variables(self._residual_tree):
+        self._partials = []
+        for name in sorted(exprlang.expr_variables(self._residual_tree)):
             orders = _deriv_orders_from_name(name, p)
             if orders is None:
                 if name not in coords:
@@ -159,6 +165,13 @@ class CollocationProblem:
                         f"residual derivative {name!r} exceeds declared order "
                         f"{self.orders[d]} in dimension {d + 1}"
                     )
+            try:
+                partial = exprlang.diff_expr(self._residual_tree, name)
+            except ExprDiffError as exc:
+                raise ExprDiffError(
+                    f"residual is not differentiable in {name!r}: {exc}"
+                ) from None
+            self._partials.append((name, orders, partial))
         extra = exprlang.expr_variables(self._rhs_tree) - coords
         if extra:
             raise InvalidParameterError(
@@ -210,54 +223,12 @@ class CollocationProblem:
         return (d, side, order, tree)
 
 
-# ---------------------------------------------------------------------------
-# syntactic linearity
-# ---------------------------------------------------------------------------
-
-
-def _classify(tree, unknowns) -> str:
-    """Classify an expression as 'const', 'linear', or 'nonlinear' in the
-    unknown symbols (conservative: anything unclear is nonlinear)."""
-    E = exprlang
-    if isinstance(tree, (E.Num, E.Const)):
-        return "const"
-    if isinstance(tree, E.Var):
-        return "linear" if tree.name in unknowns else "const"
-    if isinstance(tree, E.Neg):
-        return _classify(tree.operand, unknowns)
-    if isinstance(tree, E.BinOp):
-        left = _classify(tree.left, unknowns)
-        right = _classify(tree.right, unknowns)
-        if left == "nonlinear" or right == "nonlinear":
-            return "nonlinear"
-        if tree.op in "+-":
-            return "linear" if "linear" in (left, right) else "const"
-        if tree.op == "*":
-            if left == "const":
-                return right
-            if right == "const":
-                return left
-            return "nonlinear"
-        if tree.op == "/":
-            if right == "const":
-                return left
-            return "nonlinear"
-        # power: only constant^constant stays predictable
-        return "const" if left == right == "const" else "nonlinear"
-    if isinstance(tree, E.Call):
-        inner = _classify(tree.arg, unknowns)
-        return "const" if inner == "const" else "nonlinear"
-    return "nonlinear"
-
-
 def detect_linear(problem: CollocationProblem) -> bool:
-    """True when every unknown symbol enters the residual linearly."""
-    unknowns = {
-        name
-        for name in exprlang.expr_variables(problem._residual_tree)
-        if _deriv_orders_from_name(name, problem.dim) is not None
-    }
-    return _classify(problem._residual_tree, unknowns) != "nonlinear"
+    """True when no partial derivative of the residual references a u-symbol."""
+    unknowns = {name for name, _, _ in problem._partials}
+    return not any(
+        exprlang.expr_variables(partial) & unknowns for _, _, partial in problem._partials
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,28 +247,31 @@ class CollocationSystem:
     is_linear: bool
     # internal plumbing
     _shape: tuple = field(default=None, repr=False)
-    _derivs: list = field(default=None, repr=False)  # [(symbol, orders, mats)]
+    _derivs: list = field(default=None, repr=False)  # [(symbol, mats, partial)]
     _interior: list = field(default=None, repr=False)  # per-dim slice
     _cond_rows: list = field(default=None, repr=False)
     _int_env: dict = field(default=None, repr=False)
     _int_shape: tuple = field(default=None, repr=False)
 
-    def evaluate_residual(self, u_flat: np.ndarray) -> np.ndarray:
+    def _grid_and_env(self, u_flat: np.ndarray):
+        """The nodal grid and the interior binding of coordinates and u-symbols."""
         u_flat = np.asarray(u_flat, dtype=float)
         if u_flat.shape != (self.size,):
             raise InvalidParameterError(
                 f"expected a flat vector of {self.size} values, got {u_flat.shape}"
             )
         grid = u_flat.reshape(self._shape)
-        p = self.problem.dim
-
         env = dict(self._int_env)
-        for name, orders, mats in self._derivs:
+        for name, mats, _ in self._derivs:
             g = grid
             for axis, mat in enumerate(mats):
                 if mat is not None:
                     g = np.moveaxis(np.tensordot(mat, g, axes=(1, axis)), 0, axis)
             env[name] = g[tuple(self._interior)]
+        return grid, env
+
+    def evaluate_residual(self, u_flat: np.ndarray) -> np.ndarray:
+        grid, env = self._grid_and_env(u_flat)
         res = exprlang.eval_expr(self.problem._residual_tree, env) - exprlang.eval_expr(
             self.problem._rhs_tree, self._int_env
         )
@@ -308,16 +282,36 @@ class CollocationSystem:
             pieces.append((sub[sel] - data).ravel())
         return np.concatenate(pieces)
 
-    def evaluate_jacobian(self, u_flat: np.ndarray, step: float = 1e-7) -> np.ndarray:
-        """Forward-difference Jacobian of the residual at ``u_flat``."""
-        u_flat = np.asarray(u_flat, dtype=float)
-        base = self.evaluate_residual(u_flat)
-        jac = np.empty((self.size, self.size))
-        for j in range(self.size):
-            h = step * (1.0 + abs(u_flat[j]))
-            bumped = u_flat.copy()
-            bumped[j] += h
-            jac[:, j] = (self.evaluate_residual(bumped) - base) / h
+    def evaluate_jacobian(self, u_flat: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of the residual at ``u_flat``.
+
+        Interior rows are ``sum_s diag(dR/ds) kron_d D_d^(k_s)`` over the
+        u-symbols ``s``, restricted to the interior rows of each factor;
+        condition rows are ``row_vec`` kron the sampled identity rows.
+        """
+        _, env = self._grid_and_env(u_flat)
+        jac = np.zeros((self.size, self.size))
+        n_int = int(np.prod(self._int_shape))
+        for _, mats, partial in self._derivs:
+            factors = [
+                (np.eye(n) if mat is None else mat)[rows]
+                for n, mat, rows in zip(self._shape, mats, self._interior)
+            ]
+            # the ones seed makes the block a fresh array, safe to scale in place
+            block = reduce(np.kron, factors, np.ones((1, 1)))
+            vals = np.asarray(exprlang.eval_expr(partial, env), dtype=float)
+            block *= np.broadcast_to(vals, self._int_shape).reshape(-1, 1)
+            jac[:n_int] += block
+        row = n_int
+        for row_vec, axis, sel, _ in self._cond_rows:
+            rest = iter(sel)
+            factors = [
+                row_vec[None] if d == axis else np.eye(n)[next(rest)]
+                for d, n in enumerate(self._shape)
+            ]
+            block = reduce(np.kron, factors)
+            jac[row : row + len(block)] = block
+            row += len(block)
         return jac
 
 
@@ -359,11 +353,10 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
             dmat_cache[(d, k)] = dm_matrix(bases[d], k).entries
         return dmat_cache[(d, k)]
 
-    derivs = []
-    for name in sorted(exprlang.expr_variables(problem._residual_tree)):
-        orders = _deriv_orders_from_name(name, p)
-        if orders is not None:
-            derivs.append((name, orders, [dmat(d, k) for d, k in enumerate(orders)]))
+    derivs = [
+        (name, [dmat(d, k) for d, k in enumerate(orders)], partial)
+        for name, orders, partial in problem._partials
+    ]
 
     interior = [slice(problem.splits[d][0], shape[d] - problem.splits[d][1]) for d in range(p)]
     int_shape = tuple(s.stop - s.start for s in interior)
@@ -452,7 +445,6 @@ class SolveOptions:
     tol: float = 1e-12
     max_iterations: int = 50
     initial_guess: np.ndarray | None = None
-    jacobian_step: float = 1e-7
     max_damping: int = 8
 
 
@@ -475,6 +467,8 @@ def _wrap_solution(system: CollocationSystem, u_flat: np.ndarray):
 
 def solve_system(system: CollocationSystem, options: SolveOptions | None = None) -> SolveResult:
     opts = options or SolveOptions()
+    if opts.max_damping < 1:
+        raise InvalidParameterError(f"max_damping must be >= 1, got {opts.max_damping}")
     m = system.size
     if opts.initial_guess is not None:
         guess = np.asarray(opts.initial_guess, dtype=float)
@@ -486,11 +480,8 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
         guess = np.zeros(m)
 
     if system.is_linear:
+        mat = system.evaluate_jacobian(np.zeros(m))
         base = system.evaluate_residual(np.zeros(m))
-        mat = np.empty((m, m))
-        eye = np.eye(m)
-        for j in range(m):
-            mat[:, j] = system.evaluate_residual(eye[j]) - base
         cond = float(np.linalg.cond(mat))
         try:
             u = np.linalg.solve(mat, -base)
@@ -518,7 +509,7 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
                 residual_norm=norm,
                 linear=False,
             )
-        jac = system.evaluate_jacobian(u, step=opts.jacobian_step)
+        jac = system.evaluate_jacobian(u)
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -535,9 +526,9 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
                 break
             lam *= 0.5
         else:
-            trial = u + lam * delta
-            trial_res = system.evaluate_residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            raise NewtonError(
+                "no damped Newton step reduced the residual", residual_norm=norm, iterations=it
+            )
         u, res, norm = trial, trial_res, trial_norm
     if norm <= opts.tol:
         return SolveResult(

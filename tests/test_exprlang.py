@@ -92,7 +92,10 @@ def test_round_trip(text):
 
 
 @pytest.mark.parametrize(
-    "text,domain", [c for c in CORPUS if c[1] is not None and "abs" not in c[0]]
+    "text,domain",
+    [c for c in CORPUS if c[1] is not None and "abs" not in c[0]]
+    # abs of an argument free of x is constant in x
+    + [("abs(pi - 4)*x^2", (-2.0, 2.0))],
 )
 def test_derivative_matches_finite_difference(text, domain, rng):
     tree = parse_expr(text)

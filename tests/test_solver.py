@@ -6,6 +6,8 @@ import pytest
 from dlf.basis import NodeSet, make_psi_family, validate_basis
 from dlf.errors import (
     AssemblyError,
+    DlfError,
+    ExprDiffError,
     InvalidParameterError,
     NewtonError,
     SingularSystemError,
@@ -110,6 +112,11 @@ class TestProblemValidation:
                 conditions=poisson_problem().conditions,
             )
 
+    def test_non_differentiable_residual_rejected(self):
+        with pytest.raises(ExprDiffError, match="'u'") as exc:
+            bvp_problem(residual="d2u - abs(u)")
+        assert isinstance(exc.value, DlfError)
+
     def test_rhs_is_coordinates_only(self):
         with pytest.raises(InvalidParameterError):
             bvp_problem(rhs="u + x")
@@ -187,6 +194,17 @@ class TestLinearityDetection:
 
     def test_unknown_inside_function(self):
         assert detect_linear(bvp_problem(residual="d2u + sin(u)")) is False
+
+    def test_power_one_is_linear(self):
+        assert detect_linear(bvp_problem(residual="d2u + u^1")) is True
+
+    def test_abs_of_coordinates_stays_linear(self):
+        prob = bvp_problem(residual="d2u - abs(x - 0.5)*u")
+        assert detect_linear(prob) is True
+        system = assemble_collocation_1d(prob, build_basis("identity", n=8, a=0.0, b=1.0))
+        result = solve_system(system)
+        assert result.linear is True
+        assert result.residual_norm < 1e-8
 
     def test_explicit_override_wins(self):
         prob = bvp_problem(linear=False)
@@ -341,16 +359,46 @@ class TestLinearSolves:
             solve_system(system)
         assert exc.value.cond_estimate > 1e12
 
-    def test_jacobian_matches_probed_matrix(self):
-        system = assemble_collocation_1d(
-            bvp_problem(), build_basis("identity", n=5, a=0.0, b=1.0)
-        )
-        base = system.evaluate_residual(np.zeros(system.size))
+    @pytest.mark.parametrize("case", ["1d-linear", "2d-nonlinear"])
+    def test_jacobian_matches_probed_matrix(self, case, rng):
+        if case == "1d-linear":
+            system = assemble_collocation_1d(
+                bvp_problem(), build_basis("identity", n=5, a=0.0, b=1.0)
+            )
+        else:
+            # order-0 and order-1 conditions, a rational family in x1 and a
+            # non-square grid, so a swapped axis or factor shows
+            prob = CollocationProblem(
+                dim=2,
+                domains=[(0.0, 1.0), (0.0, 1.0)],
+                orders=[2, 2],
+                splits=[(1, 1), (1, 1)],
+                residual="u_2,0 + u_0,2 + u*u_1,0 - sin(u_0,1) + x1*u^2",
+                rhs="1",
+                conditions=[
+                    {"face": "a1", "order": 0, "expr": "x2"},
+                    {"face": "b1", "order": 1, "expr": "1"},
+                    {"face": "a2", "order": 0, "expr": "x1^2"},
+                    {"face": "b2", "order": 1, "expr": "0"},
+                ],
+            )
+            bases = [
+                build_basis("rational", {"L": 1.0}, n=5, a=0.0, b=1.0),
+                build_basis("identity", n=4, a=0.0, b=1.0),
+            ]
+            system = assemble_collocation_nd(prob, bases)
+            assert system.is_linear is False
+        u = rng.uniform(-1.0, 1.0, system.size)
+        h = 1e-6
         probed = np.empty((system.size, system.size))
         for j in range(system.size):
-            probed[:, j] = system.evaluate_residual(np.eye(system.size)[j]) - base
-        fd = system.evaluate_jacobian(np.zeros(system.size))
-        assert np.max(np.abs(fd - probed)) < 1e-5
+            bump = np.zeros(system.size)
+            bump[j] = h
+            probed[:, j] = (
+                system.evaluate_residual(u + bump) - system.evaluate_residual(u - bump)
+            ) / (2 * h)
+        jac = system.evaluate_jacobian(u)
+        assert np.max(np.abs(jac - probed)) < 1e-6 * (1.0 + np.max(np.abs(jac)))
 
 
 class TestNewtonSolves:
@@ -380,6 +428,24 @@ class TestNewtonSolves:
             solve_system(system, SolveOptions(max_iterations=2))
         assert exc.value.iterations == 2
         assert exc.value.residual_norm > 0
+
+    def test_step_that_does_not_reduce_the_residual_raises(self):
+        # Newton on tanh(u) = 0 from 2 overshoots to about -11.6
+        prob = bvp_problem(
+            residual="tanh(u)", rhs="0", orders=[0], splits=[(0, 0)], conditions=[]
+        )
+        system = assemble_collocation_1d(prob, build_basis("identity", n=4, a=0.0, b=1.0))
+        opts = SolveOptions(initial_guess=2.0 * np.ones(system.size), max_damping=1)
+        with pytest.raises(NewtonError) as exc:
+            solve_system(system, opts)
+        assert exc.value.iterations == 1
+        assert exc.value.residual_norm == pytest.approx(np.tanh(2.0))
+
+    def test_max_damping_must_be_positive(self):
+        basis = build_basis("identity", n=8, a=0.0, b=0.5)
+        system = assemble_collocation_1d(self.riccati(), basis)
+        with pytest.raises(InvalidParameterError):
+            solve_system(system, SolveOptions(max_damping=0))
 
     def test_initial_guess_shape_checked(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
