@@ -45,7 +45,7 @@ def max_error(cfg, bases, result):
         exact = np.broadcast_to(
             np.asarray(exprlang.eval_expr(tree, {"x": xs}), dtype=float), xs.shape
         )
-        approx = np.array([eval_interpolant(result.interpolant, float(x)) for x in xs])
+        approx = eval_interpolant(result.interpolant, xs)
         return float(np.max(np.abs(approx - exact)))
     grids = np.meshgrid(*[b.nodes.nodes for b in bases], indexing="ij")
     env = {f"x{d + 1}": grids[d] for d in range(len(bases))}

@@ -532,18 +532,13 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
         raise DegenerateDerivativeError(i, float(dpsi_own[i]), tau_sep)
     d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
 
-    # column products over i != j
-    denom_prod = np.empty(size)
-    for j in range(size):
-        col = np.delete(f_tab[:, j], j)
-        denom_prod[j] = np.prod(col)
+    # row j holds the off-diagonal entries of column j, in row order
+    f_off = f_tab.T[off].reshape(size, size - 1)
+    denom_prod = np.prod(f_off, axis=1)
     wprime = dpsi_own * denom_prod
     # w''(x_j) = psi_j'' * prod + 2 psi_j' * prod * sum_{s != j} psi_s'(x_j)/f_s(x_j)
-    wsecond = np.empty(size)
-    for j in range(size):
-        keep = np.arange(size) != j
-        s = np.sum(dpsi_tab[keep, j] / f_tab[keep, j])
-        wsecond[j] = (d2psi_own[j] + 2 * dpsi_own[j] * s) * denom_prod[j]
+    s = np.sum(dpsi_tab.T[off].reshape(size, size - 1) / f_off, axis=1)
+    wsecond = (d2psi_own + 2 * dpsi_own * s) * denom_prod
     mu = dpsi_own / wprime  # equals 1 / denom_prod
 
     return DlfBasis(
@@ -567,24 +562,30 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
 # ---------------------------------------------------------------------------
 
 
+def _terms(basis: DlfBasis, x) -> np.ndarray:
+    """``psi_i(x) - psi_i(x_i)``: shape ``(size,)`` for scalar ``x``, else ``(size, K)``."""
+    x = np.asarray(x)
+    vals = basis.psi.values_at(x.astype(np.result_type(x, float), copy=False))
+    np.subtract(vals.T, np.diag(basis._psi_tab), out=vals.T)
+    return vals
+
+
 def weight_eval(basis: DlfBasis, x):
     """The node-product function ``w(x) = prod_i (psi_i(x) - psi_i(x_i))``.
 
     Zero exactly (not just approximately) when ``x`` is one of the nodes.
-    Accepts complex ``x`` for contour integration.
+    Accepts complex ``x`` for contour integration, and 1-d arrays.
     """
     basis._check_point(x)
-    vals = basis.psi.values_at(x)
-    return np.prod(vals - np.diag(basis._psi_tab))
+    return _terms(basis, x).prod(axis=0)
 
 
 def dlf_eval(basis: DlfBasis, j: int, x):
-    """Basis function ``L_j`` at ``x`` via the defining product."""
+    """``L_j`` at ``x`` (scalar or 1-d array) by the defining product: the reference."""
     if not 0 <= j < basis.size:
         raise InvalidParameterError(f"basis index {j} outside 0..{basis.size - 1}")
     basis._check_point(x)
-    vals = basis.psi.values_at(x)
-    terms = vals - np.diag(basis._psi_tab)
+    terms = _terms(basis, x)
     out = None
     for i in range(basis.size):
         if i == j:
@@ -610,42 +611,47 @@ def dlf_eval_via_weight(basis: DlfBasis, j: int, x):
 
 def lagrange_values(basis: DlfBasis, x) -> np.ndarray:
     """All basis functions at one point: array ``[L_0(x), ..., L_N(x)]``."""
+    if np.asarray(x).ndim != 0:
+        raise InvalidParameterError("lagrange_values takes one point; use lagrange_matrix")
     basis._check_point(x)
-    return _values_from_terms(
-        basis, basis.psi.values_at(x) - np.diag(basis._psi_tab)
-    )
+    return _cardinals(basis, _terms(basis, x)[:, None])[:, 0]
 
 
 def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
     """Basis functions on many points: shape ``(size, len(xs))``."""
-    xs = np.asarray(xs)
     basis._check_point(xs)
-    vals = basis.psi.values_at(xs)  # (size, K)
-    terms = vals - np.diag(basis._psi_tab)[:, None]
-    out = np.empty_like(terms)
-    for k in range(terms.shape[1]):
-        out[:, k] = _values_from_terms(basis, terms[:, k])
-    return out
+    return _cardinals(basis, _terms(basis, xs))
 
 
-def _values_from_terms(basis: DlfBasis, terms: np.ndarray) -> np.ndarray:
+def _cardinals(basis: DlfBasis, terms: np.ndarray) -> np.ndarray:
+    """All ``L_j`` at K points from ``terms = psi_i(x) - psi_i(x_i)``, shape ``(size, K)``.
+
+    Overwrites and returns ``terms``.  Columns without zero or tiny terms
+    divide the full product by each term and by ``_denom_prod``.  With two
+    or more zeros every ``L_j`` is 0; with one zero at row ``i`` only
+    ``L_i`` is nonzero and, like every ``L_j`` of a column with a term at
+    or below 1e-150, is formed factor by factor.
+    """
     size = basis.size
-    zero = terms == 0
-    nz = int(np.count_nonzero(zero))
-    if nz == 0 and np.min(np.abs(terms)) > 1e-150:
-        full = np.prod(terms)
-        return (full / terms) / basis._denom_prod
-    out = np.zeros(size, dtype=terms.dtype)
-    if nz >= 2:
-        return out  # every L_j retains at least one zero factor
-    candidates = np.flatnonzero(zero) if nz == 1 else range(size)
-    for j in candidates:
-        prod = 1.0
-        for i in range(size):
-            if i != j:
-                prod *= terms[i] / basis._f_tab[i, j]
-        out[j] = prod
-    return out
+    with np.errstate(all="ignore"):
+        odd = (~(abs(terms).min(axis=0) > 1e-150)).nonzero()[0]
+        if len(odd):
+            zeros = np.count_nonzero(terms[:, odd] == 0, axis=0)
+            one, tiny = odd[zeros == 1], odd[zeros == 0]
+            js = np.concatenate(
+                [np.argmax(terms[:, one] == 0, axis=0), np.tile(np.arange(size), len(tiny))]
+            )
+            cols = np.concatenate([one, np.repeat(tiny, size)])
+            factors = terms[:, cols] / basis._f_tab[:, js]
+            factors[js, np.arange(len(js))] = 1.0
+            # down each column in row order, as a scalar loop over r != j would
+            slow = factors.prod(axis=0)
+        np.divide(terms.prod(axis=0), terms, out=terms)
+        terms /= basis._denom_prod[:, None]
+    if len(odd):
+        terms[:, odd[zeros > 0]] = 0.0
+        terms[js, cols] = slow
+    return terms
 
 
 def dlf_limit(basis: DlfBasis, j: int) -> float:
@@ -660,10 +666,6 @@ def dlf_limit(basis: DlfBasis, j: int) -> float:
         )
     if not 0 <= j < basis.size:
         raise InvalidParameterError(f"basis index {j} outside 0..{basis.size - 1}")
-    beta = basis.psi.limit_values
-    num = beta - np.diag(basis._psi_tab)
-    out = 1.0
-    for i in range(basis.size):
-        if i != j:
-            out *= num[i] / basis._f_tab[i, j]
-    return out
+    num = basis.psi.limit_values - np.diag(basis._psi_tab)
+    keep = np.arange(basis.size) != j
+    return np.prod(num[keep] / basis._f_tab[keep, j])

@@ -236,9 +236,8 @@ def _cmd_interp(args) -> int:
         a, b = basis.nodes.domain
         end = b if math.isfinite(b) else basis.nodes.nodes[-1]
         xs = np.linspace(a, end, args.samples)
-        lines = ["x,u"]
-        for x in xs:
-            lines.append(f"{_fmt(x)},{_fmt(eval_interpolant(interp, float(x)))}")
+        us = eval_interpolant(interp, xs)
+        lines = ["x,u"] + [f"{_fmt(x)},{_fmt(u)}" for x, u in zip(xs, us)]
         _write_text(args.samples_out, "\n".join(lines) + "\n")
     if args.out:
         print(json.dumps({"size": basis.size, "out": args.out}))
@@ -312,7 +311,7 @@ def _max_error_vs_exact(cfg: dict, bases, result) -> float:
         xs = np.linspace(a, end, 201)
         exact = np.asarray(exprlang.eval_expr(tree, {"x": xs}), dtype=float)
         exact = np.broadcast_to(exact, xs.shape)
-        approx = np.array([eval_interpolant(result.interpolant, float(x)) for x in xs])
+        approx = eval_interpolant(result.interpolant, xs)
         return float(np.max(np.abs(approx - exact)))
     grids = np.meshgrid(*[b.nodes.nodes for b in bases], indexing="ij")
     env = {f"x{d+1}": grids[d] for d in range(dim)}

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DlfBasis, _values_from_terms
+from .basis import DlfBasis, _cardinals, _terms
 from .errors import (
     DerivativeOrderError,
     DegenerateDerivativeError,
@@ -232,23 +232,22 @@ def dm_oracle_fd(basis: DlfBasis, m: int, step: float | None = None) -> DiffMatr
     xs = basis.nodes.nodes
     size = basis.size
     mean_gap = (xs[-1] - xs[0]) / (size - 1)
-    own = np.diag(basis._psi_tab)
     offsets, coeffs, hpow = _STENCILS[m]
+    shifts = np.array([off for off in offsets if off != 0], dtype=float)
 
     def matrix_at(scale: float) -> np.ndarray:
         h = step * mean_gap * scale
-        out = np.empty((size, size))
-        for k in range(size):
-            row = np.zeros(size)
-            for off, c in zip(offsets, coeffs):
-                if off == 0:
-                    # the center value is delta_kj, exact by construction
-                    row[k] += c
-                    continue
-                terms = basis.psi.values_at(xs[k] + off * h) - own
-                row += c * _values_from_terms(basis, terms)
-            out[k] = row / h**hpow
-        return out
+        # every off-node stencil point at once, one (k, j) block per shift
+        pts = xs[None, :] + shifts[:, None] * h
+        vals = _cardinals(basis, _terms(basis, pts.ravel()))
+        blocks = iter(vals.reshape(size, len(shifts), size).transpose(1, 2, 0))
+        out = np.zeros((size, size))
+        for off, c in zip(offsets, coeffs):
+            if off == 0:
+                out[np.diag_indices(size)] += c  # delta_kj, exact by construction
+            else:
+                out += c * next(blocks)
+        return out / h**hpow
 
     a1, a2, a3 = matrix_at(1.0), matrix_at(0.5), matrix_at(0.25)
     r_coarse = (16.0 * a2 - a1) / 15.0

@@ -168,6 +168,59 @@ def test_lagrange_matrix_columns_match_pointwise_eval(rng):
         np.testing.assert_allclose(table[:, k], lagrange_values(basis, x), rtol=1e-12)
 
 
+# first case of every kind, for tests that run once per kind
+KIND_CASES = {case[0]: case for case in reversed(FAMILY_CASES)}
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_batched_kernel_matches_product_form(kind, rng):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=12, a=a, b=b)
+    xs = rng.uniform(a, b, 200)
+    table = lagrange_matrix(basis, xs)
+    reference = np.array([dlf_eval(basis, j, xs) for j in range(basis.size)])
+    np.testing.assert_allclose(table, reference, rtol=1e-13)
+    for k in range(0, len(xs), 20):
+        np.testing.assert_array_equal(table[:, k], lagrange_values(basis, xs[k]))
+    np.testing.assert_array_equal(
+        lagrange_matrix(basis, basis.nodes.nodes), np.eye(basis.size)
+    )
+    if 0.0 in basis.nodes.nodes:
+        # a term of 1e-160 (identity, generalized, rational: psi(0) = 0) sends
+        # the point down the factor-by-factor route
+        tiny = np.array([1e-160, 0.5 * b])
+        table = lagrange_matrix(basis, tiny)
+        reference = np.array([dlf_eval(basis, j, tiny) for j in range(basis.size)])
+        np.testing.assert_allclose(table, reference, rtol=1e-13)
+        np.testing.assert_array_equal(table[:, 0], lagrange_values(basis, 1e-160))
+        assert table[np.flatnonzero(basis.nodes.nodes == 0.0)[0], 0] == pytest.approx(1.0)
+
+
+_EVALUATORS = {
+    "weight_eval": weight_eval,
+    "dlf_eval": lambda basis, x: dlf_eval(basis, 3, x),
+    "dlf_eval_via_weight": lambda basis, x: dlf_eval_via_weight(basis, 3, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("k", [2, 9])  # 9 points = the basis size
+def test_reference_evaluators_accept_arrays(name, k, rng):
+    evaluate = _EVALUATORS[name]
+    basis = build_basis("identity", n=8)
+    xs = rng.uniform(-1.0, 1.0, k)
+    values = evaluate(basis, xs)
+    assert values.shape == (k,)
+    np.testing.assert_array_equal(values, [evaluate(basis, x) for x in xs])
+
+
+@pytest.mark.parametrize("xs", [[0.1, 0.2], np.linspace(-0.9, 0.9, 9), [0.5]])
+def test_lagrange_values_rejects_arrays(xs):
+    basis = build_basis("identity", n=8)
+    with pytest.raises(InvalidParameterError, match="lagrange_matrix"):
+        lagrange_values(basis, np.asarray(xs))
+
+
 # -- boundedness for maps with finite limits ------------------------------
 
 

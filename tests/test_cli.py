@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dlf.cli import main
+from dlf.interp import eval_interpolant, load_interpolant
 
 SINE_CFG = "configs/sine_bvp.json"
 RICCATI_CFG = "configs/riccati_ivp.json"
@@ -185,6 +186,20 @@ class TestInterpCommand:
         x_last, u_last = (float(v) for v in lines[-1].split(","))
         assert x_last == pytest.approx(1.0)
         assert u_last == pytest.approx(1.0, abs=1e-12)
+
+    def test_samples_match_pointwise_evaluation(self, capsys, tmp_path):
+        # one batched evaluation; gemv may differ from per-point dot in the last bit
+        itp_path, csv_path = tmp_path / "itp.json", tmp_path / "samples.csv"
+        code, _, _ = run_cli(
+            capsys, "interp", "--expr", "exp(x)", "--N", "12", "--samples", "64",
+            "--samples-out", str(csv_path), "--out", str(itp_path),
+        )
+        assert code == 0
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert rows.shape == (64, 2)
+        itp = load_interpolant(itp_path)
+        pointwise = [eval_interpolant(itp, float(x)) for x in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 1], pointwise, rtol=1e-14)
 
     def test_samples_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "interp", "--expr", "x", "--samples", "3")
