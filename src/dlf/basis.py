@@ -534,12 +534,18 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
 
     # row j holds the off-diagonal entries of column j, in row order
     f_off = f_tab.T[off].reshape(size, size - 1)
-    denom_prod = np.prod(f_off, axis=1)
-    wprime = dpsi_own * denom_prod
-    # w''(x_j) = psi_j'' * prod + 2 psi_j' * prod * sum_{s != j} psi_s'(x_j)/f_s(x_j)
-    s = np.sum(dpsi_tab.T[off].reshape(size, size - 1) / f_off, axis=1)
-    wsecond = (d2psi_own + 2 * dpsi_own * s) * denom_prod
-    mu = dpsi_own / wprime  # equals 1 / denom_prod
+    with np.errstate(all="ignore"):
+        denom_prod = np.prod(f_off, axis=1)
+        wprime = dpsi_own * denom_prod
+        # w''(x_j) = psi_j'' * prod + 2 psi_j' * prod * sum_{s != j} psi_s'(x_j)/f_s(x_j)
+        s = np.sum(dpsi_tab.T[off].reshape(size, size - 1) / f_off, axis=1)
+        wsecond = (d2psi_own + 2 * dpsi_own * s) * denom_prod
+        mu = dpsi_own / wprime  # equals 1 / denom_prod
+    if not np.all(np.isfinite([denom_prod, wprime, wsecond, mu])) or np.any(denom_prod == 0):
+        raise InvalidParameterError(
+            f"node-gap products overflow or underflow for kind {psi.kind!r} at "
+            f"N={nodes.n}; use fewer nodes or slower-growing maps"
+        )
 
     return DlfBasis(
         psi=psi,
@@ -618,7 +624,15 @@ def lagrange_values(basis: DlfBasis, x) -> np.ndarray:
 
 
 def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
-    """Basis functions on many points: shape ``(size, len(xs))``."""
+    """Basis functions on many points: shape ``(size, len(xs))``.
+
+    ``xs`` must be a non-empty 1-d array; use :func:`lagrange_values` for one point.
+    """
+    xs = np.asarray(xs)
+    if xs.ndim != 1 or xs.size == 0:
+        raise InvalidParameterError(
+            f"lagrange_matrix needs a non-empty 1-d array of points, got shape {xs.shape}"
+        )
     basis._check_point(xs)
     return _cardinals(basis, _terms(basis, xs))
 

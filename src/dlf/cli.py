@@ -34,6 +34,7 @@ from .basis import (
 from .contour import (
     AnalyticFn,
     Contour,
+    _panel,
     contour_error,
     contour_interpolant,
 )
@@ -369,8 +370,9 @@ def _cmd_contour_check(args) -> int:
     for x in xs:
         x = float(x)
         direct = eval_interpolant(interp, x)
-        ci = contour_interpolant(basis, u, x, contour)
-        ce = contour_error(basis, u, x, contour)
+        panel = _panel(basis, u, x, contour)
+        ci = contour_interpolant(basis, u, x, contour, panel=panel)
+        ce = contour_error(basis, u, x, contour, panel=panel)
         direct_err = direct - float(np.real(u_fn(x)))
         disc = max(abs(ci - direct), abs(ce - direct_err))
         lines.append(

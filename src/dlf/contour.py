@@ -15,7 +15,9 @@ the identity family every ``j``-term is identical and the average
 collapses to the single classical Hermite integral, provided here
 separately as a cross-check.
 
-Quadrature is the periodic trapezoid rule on the circle, which converges
+Quadrature is the periodic trapezoid rule on the circle, evaluated in one
+array pass: ``u`` and the maps are sampled once on all panel points and
+every ``j``-kernel is a row of one table.  The rule converges
 exponentially in the panel count for integrands analytic in a
 neighborhood of the circle.  That analyticity restricts the usable map
 families: entire maps (identity, integer-exponent fractional,
@@ -91,9 +93,11 @@ class Contour:
 class AnalyticFn:
     """A complex-callable function with its declared singularities.
 
-    The declared ``poles`` (or branch points) are the only analyticity
-    check available; a function whose list is incomplete is the caller's
-    problem.
+    ``fn`` is called once per integral, on the complex array of panel
+    points, so it must work elementwise on numpy arrays (a constant may
+    come back as a scalar).  The declared ``poles`` (or branch points) are
+    the only analyticity check available; a function whose list is
+    incomplete is the caller's problem.
     """
 
     fn: object
@@ -112,24 +116,28 @@ def _as_analytic(u) -> AnalyticFn:
     return u if isinstance(u, AnalyticFn) else AnalyticFn(u)
 
 
+def _trapezoid(vals, zs, contour: Contour) -> complex:
+    """Trapezoid sums of samples at the panel points ``zs`` (last axis), averaged over rows."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        k = int(np.argmax(bad.reshape(-1, len(zs)).any(axis=0)))
+        raise ContourError(f"integrand not finite at panel point {zs[k]}")
+    units = (zs - contour.center) / contour.radius
+    return complex(np.mean(contour.radius / contour.panels * np.sum(vals * units, axis=-1)))
+
+
 def trapezoid_contour_quad(f, contour: Contour, phase: float = 0.0) -> complex:
     """``(1/(2*pi*i)) * contour integral of f`` by the periodic trapezoid rule.
 
-    ``f`` is called once per panel point with a complex scalar.  The rule
-    is spectrally accurate for integrands analytic near the circle; a
+    ``f`` is called once, on the complex array of panel points, and must
+    work elementwise (a scalar result is broadcast).  The rule is
+    spectrally accurate for integrands analytic near the circle; a
     non-finite sample (a pole on the circle, usually) raises
-    :class:`ContourError`.
+    :class:`ContourError` naming the panel point.
     """
     zs = contour.panel_points(phase)
-    vals = np.empty(contour.panels, dtype=complex)
-    for k in range(contour.panels):
-        vals[k] = f(zs[k])
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ContourError(f"integrand not finite at panel point {zs[k]}")
-    units = (zs - contour.center) / contour.radius
-    return complex(contour.radius / contour.panels * np.sum(vals * units))
+    with np.errstate(all="ignore"):
+        return _trapezoid(np.broadcast_to(f(zs), zs.shape), zs, contour)
 
 
 def check_contour_eligibility(basis: DlfBasis, contour: Contour, u=None, targets=()):
@@ -189,63 +197,65 @@ def _safe_phase(contour: Contour, avoid) -> float:
     return 0.0
 
 
-def _panel_tables(basis: DlfBasis):
-    """Memoized per-point map values, slopes and weight for one evaluation."""
-    own = np.diag(basis._psi_tab)
-    cache = {}
+@dataclass(frozen=True)
+class _Panel:
+    """The circle tables of one evaluation, built for ``key = (basis, u, x, contour)``.
 
-    def tables(t):
-        entry = cache.get(t)
-        if entry is None:
-            v0 = basis.psi.values_at(t)
-            v1 = basis.psi.values_at(t, order=1)
-            entry = (v0, v1, complex(np.prod(v0 - own)))
-            cache[t] = entry
-        return entry
+    ``v0``/``v1`` hold ``psi_i``/``psi_i'`` at the panel points ``zs``, shape
+    ``(size, panels)``; ``wt``/``ut`` hold ``w``/``u`` there; ``wx`` and
+    ``psi_x`` are ``w(x)`` and every ``psi_i(x)``.
+    """
 
-    return tables
+    key: tuple
+    zs: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+    wt: np.ndarray
+    ut: np.ndarray
+    wx: complex
+    psi_x: np.ndarray
 
 
-def contour_interpolant(basis: DlfBasis, u, x, contour: Contour) -> complex:
-    """The interpolant value ``u_N(x)`` computed from the circle integrals."""
-    u = _as_analytic(u)
-    check_contour_eligibility(basis, contour, u, targets=(x,))
+def _panel(basis: DlfBasis, u, x, contour: Contour) -> _Panel:
+    """Check eligibility, then evaluate ``u``, the maps and ``w`` on the circle once."""
+    check_contour_eligibility(basis, contour, _as_analytic(u), targets=(x,))
+    zs = contour.panel_points(_safe_phase(contour, np.append(basis.nodes.nodes, x)))
+    psi = basis.psi
+    with np.errstate(all="ignore"):
+        v0 = psi.values_at(zs)
+        wt = (v0 - np.diag(basis._psi_tab)[:, None]).prod(axis=0)
+        ut = np.broadcast_to(u(zs), zs.shape)
+        v1 = psi.values_at(zs, order=1)
     wx = complex(weight_eval(basis, x))
-    psi_x = basis.psi.values_at(x)
-    phase = _safe_phase(contour, np.append(basis.nodes.nodes, x))
-    tables = _panel_tables(basis)
-
-    total = 0j
-    for j in range(basis.size):
-        pj = psi_x[j]
-
-        def f(t, j=j, pj=pj):
-            v0, v1, wt = tables(t)
-            return v1[j] * u(t) * (wt - wx) / (wt * (v0[j] - pj))
-
-        total += trapezoid_contour_quad(f, contour, phase)
-    return total / basis.size
+    return _Panel((basis, u, x, contour), zs, v0, v1, wt, ut, wx, psi.values_at(x))
 
 
-def contour_error(basis: DlfBasis, u, x, contour: Contour) -> complex:
+def _panel_for(basis: DlfBasis, u, x, contour: Contour, panel) -> _Panel:
+    p = _panel(basis, u, x, contour) if panel is None else panel
+    if p.key != (basis, u, x, contour):
+        raise InvalidParameterError("panel data was built for another basis, u, x or contour")
+    return p
+
+
+def contour_interpolant(basis: DlfBasis, u, x, contour: Contour, *, panel=None) -> complex:
+    """The interpolant value ``u_N(x)`` computed from the circle integrals.
+
+    Every ``j``-kernel is one row of a ``(size, panels)`` table.  ``panel``,
+    built by ``_panel`` for the same arguments, lets a caller that also
+    wants :func:`contour_error` at ``x`` evaluate the circle only once.
+    """
+    p = _panel_for(basis, u, x, contour, panel)
+    with np.errstate(all="ignore"):
+        table = p.v1 * p.ut * (p.wt - p.wx) / (p.wt * (p.v0 - p.psi_x[:, None]))
+        return _trapezoid(table, p.zs, contour)
+
+
+def contour_error(basis: DlfBasis, u, x, contour: Contour, *, panel=None) -> complex:
     """The signed interpolation error ``u_N(x) - u(x)`` from the circle integrals."""
-    u = _as_analytic(u)
-    check_contour_eligibility(basis, contour, u, targets=(x,))
-    wx = complex(weight_eval(basis, x))
-    psi_x = basis.psi.values_at(x)
-    phase = _safe_phase(contour, np.append(basis.nodes.nodes, x))
-    tables = _panel_tables(basis)
-
-    total = 0j
-    for j in range(basis.size):
-        pj = psi_x[j]
-
-        def f(t, j=j, pj=pj):
-            v0, v1, wt = tables(t)
-            return v1[j] * wx * u(t) / (wt * (pj - v0[j]))
-
-        total += trapezoid_contour_quad(f, contour, phase)
-    return total / basis.size
+    p = _panel_for(basis, u, x, contour, panel)
+    with np.errstate(all="ignore"):
+        table = p.v1 * p.wx * p.ut / (p.wt * (p.psi_x[:, None] - p.v0))
+        return _trapezoid(table, p.zs, contour)
 
 
 def _require_identity(basis: DlfBasis):
@@ -259,31 +269,17 @@ def _require_identity(basis: DlfBasis):
 def classical_contour_interpolant(basis: DlfBasis, u, x, contour: Contour) -> complex:
     """Single-kernel Hermite form of ``u_N(x)`` (identity family only)."""
     _require_identity(basis)
-    u = _as_analytic(u)
-    check_contour_eligibility(basis, contour, u, targets=(x,))
-    wx = complex(weight_eval(basis, x))
-    phase = _safe_phase(contour, np.append(basis.nodes.nodes, x))
-
-    def f(t):
-        wt = complex(weight_eval(basis, t))
-        return u(t) * (wt - wx) / (wt * (t - x))
-
-    return trapezoid_contour_quad(f, contour, phase)
+    p = _panel(basis, u, x, contour)
+    with np.errstate(all="ignore"):
+        return _trapezoid(p.ut * (p.wt - p.wx) / (p.wt * (p.zs - x)), p.zs, contour)
 
 
 def classical_contour_error(basis: DlfBasis, u, x, contour: Contour) -> complex:
     """Single-kernel Hermite form of ``u_N(x) - u(x)`` (identity family only)."""
     _require_identity(basis)
-    u = _as_analytic(u)
-    check_contour_eligibility(basis, contour, u, targets=(x,))
-    wx = complex(weight_eval(basis, x))
-    phase = _safe_phase(contour, np.append(basis.nodes.nodes, x))
-
-    def f(t):
-        wt = complex(weight_eval(basis, t))
-        return wx * u(t) / (wt * (x - t))
-
-    return trapezoid_contour_quad(f, contour, phase)
+    p = _panel(basis, u, x, contour)
+    with np.errstate(all="ignore"):
+        return _trapezoid(p.wx * p.ut / (p.wt * (x - p.zs)), p.zs, contour)
 
 
 def contour_reconstruction_gap(basis: DlfBasis, u, x, contour: Contour) -> float:
@@ -293,7 +289,7 @@ def contour_reconstruction_gap(basis: DlfBasis, u, x, contour: Contour) -> float
     circle; reported as a measurement, not asserted, for families where
     the extra preimages of ``psi_j(x)`` contribute spurious residues.
     """
-    u = _as_analytic(u)
-    ui = contour_interpolant(basis, u, x, contour)
-    ue = contour_error(basis, u, x, contour)
+    p = _panel(basis, u, x, contour)
+    ui = contour_interpolant(basis, u, x, contour, panel=p)
+    ue = contour_error(basis, u, x, contour, panel=p)
     return abs(ui - ue - complex(u(x)))

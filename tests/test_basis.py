@@ -221,6 +221,15 @@ def test_lagrange_values_rejects_arrays(xs):
         lagrange_values(basis, np.asarray(xs))
 
 
+@pytest.mark.parametrize(
+    "xs", [0.3, np.zeros((2, 3)), np.array([])], ids=["scalar", "2-d", "empty"]
+)
+def test_lagrange_matrix_rejects_bad_point_arrays(xs):
+    basis = build_basis("identity", n=4)
+    with pytest.raises(InvalidParameterError, match="non-empty 1-d"):
+        lagrange_matrix(basis, xs)
+
+
 # -- boundedness for maps with finite limits ------------------------------
 
 
@@ -336,6 +345,14 @@ def test_size_mismatch():
     fam = make_psi_family("identity", size=2)
     with pytest.raises(InvalidParameterError):
         validate_basis(fam, nodes)
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_overflowing_node_gap_products_rejected(n):
+    # default rates 1..N+1: the products of node gaps overflow to inf
+    fam = make_psi_family("exponential", size=n + 1)
+    with pytest.raises(InvalidParameterError, match=f"'exponential' at N={n}"):
+        validate_basis(fam, generate_nodes("cgl", n, -1.0, 1.0))
 
 
 def test_semi_infinite_domain_restricted_to_decaying_kinds():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlf.basis import NodeSet, make_psi_family, validate_basis
+from dlf.basis import NodeSet, PsiFamily, make_psi_family, validate_basis
 from dlf.contour import (
     NODE_CLEARANCE,
     AnalyticFn,
@@ -22,7 +22,7 @@ from dlf.contour import (
     contour_reconstruction_gap,
     trapezoid_contour_quad,
 )
-from dlf.contour import _safe_phase
+from dlf.contour import _panel, _safe_phase
 from dlf.errors import ContourError, InvalidParameterError
 from dlf.interp import eval_interpolant, interpolate_1d
 
@@ -90,6 +90,15 @@ class TestTrapezoidQuad:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ContourError):
                 trapezoid_contour_quad(lambda z: 1.0 / (z - 1.0), Contour(panels=64))
+
+    def test_pole_on_circle_leaks_no_warning(self):
+        # no errstate here: a leaked RuntimeWarning fails under the suite's filter
+        with pytest.raises(ContourError, match=r"panel point \(1\+0j\)"):
+            trapezoid_contour_quad(lambda z: 1.0 / (z - 1.0), Contour(panels=64))
+
+    def test_constant_integrand_is_broadcast(self):
+        val = trapezoid_contour_quad(lambda z: 2.0, Contour(panels=64))
+        assert abs(val) < 1e-13
 
     def test_phase_shift_moves_panel_points(self):
         c = Contour(panels=64)
@@ -297,3 +306,117 @@ class TestReconstruction:
         contour = Contour(center=0.65, radius=1.5, panels=256)
         gap = contour_reconstruction_gap(basis, np.exp, 0.5, contour)
         assert np.isfinite(gap) and gap >= 0.0
+
+
+# -- the array pass against a per-panel, per-j scalar loop -------------------
+
+# kind, params, domain, circle center and radius: every eligible kind, with
+# the maps analytic and injective inside the circle
+ELIGIBLE_CASES = [
+    ("identity", {}, (-1.0, 1.0), 0.0, 2.0),
+    ("fractional", {"delta": 2.0}, (0.5, 1.5), 1.0, 0.8),
+    ("exponential", {"rates": 0.7}, (-1.0, 1.0), 0.0, 1.5),
+    ("fourier-sin", {"freqs": 0.9}, (-1.0, 1.0), 0.0, 1.3),
+    ("fourier-cos", {"freqs": 1.0}, (0.5, 2.5), 1.5, 1.3),
+    ("rational", {"L": 1.5}, (0.0, 1.0), 0.5, 0.6),
+]
+
+
+def smooth_u(z):
+    return np.exp(0.8 * z) * np.cos(1.1 * z)
+
+
+def scalar_reference(basis, u, x, contour, error):
+    """The averaged j-form, one panel point and one index ``j`` at a time."""
+    own = np.diag(basis._psi_tab)
+    psi_x = basis.psi.values_at(x)
+    wx = complex(np.prod(psi_x - own))
+    zs = contour.panel_points(_safe_phase(contour, np.append(basis.nodes.nodes, x)))
+    sums = np.zeros(basis.size, dtype=complex)
+    for t in zs:
+        v0, v1 = basis.psi.values_at(t), basis.psi.values_at(t, order=1)
+        wt, ut = complex(np.prod(v0 - own)), complex(u(t))
+        unit = (t - contour.center) / contour.radius
+        for j in range(basis.size):
+            if error:
+                f = v1[j] * wx * ut / (wt * (psi_x[j] - v0[j]))
+            else:
+                f = v1[j] * ut * (wt - wx) / (wt * (v0[j] - psi_x[j]))
+            sums[j] += f * unit
+    return complex(np.mean(contour.radius / contour.panels * sums))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("case", ELIGIBLE_CASES, ids=[c[0] for c in ELIGIBLE_CASES])
+def test_array_pass_matches_scalar_loop(case, n):
+    kind, params, (a, b), center, radius = case
+    basis = build_basis(kind, params, n=n, a=a, b=b)
+    contour = Contour(center, radius, panels=128)
+    # a point off the nodes, and two nodes, where w(x) and the error vanish
+    for x in (a + 0.3 * (b - a), float(basis.nodes.nodes[1]), b):
+        for form, error in ((contour_interpolant, False), (contour_error, True)):
+            got = form(basis, smooth_u, x, contour)
+            want = scalar_reference(basis, smooth_u, x, contour, error)
+            assert abs(got - want) < 1e-13, (form.__name__, x)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_classical_forms_match_averaged_forms(n):
+    basis = build_basis("identity", n=n)
+    contour = Contour(radius=2.0)
+    for x in (-0.77, 0.05, 0.9):
+        ci = contour_interpolant(basis, smooth_u, x, contour)
+        ce = contour_error(basis, smooth_u, x, contour)
+        assert abs(classical_contour_interpolant(basis, smooth_u, x, contour) - ci) < 1e-13
+        assert abs(classical_contour_error(basis, smooth_u, x, contour) - ce) < 1e-13
+
+
+# -- call counts: one array pass, whatever N and the panel count ------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of ``u`` calls and ``PsiFamily.values_at`` calls."""
+    calls = {"u": 0, "values_at": 0}
+    values_at = PsiFamily.values_at
+
+    def counting_values_at(self, x, order=0):
+        calls["values_at"] += 1
+        return values_at(self, x, order)
+
+    def u(z):
+        calls["u"] += 1
+        return smooth_u(z)
+
+    monkeypatch.setattr(PsiFamily, "values_at", counting_values_at)
+    return calls, u
+
+
+@pytest.mark.parametrize("n,panels", [(4, 16), (4, 256), (16, 64), (16, 512)])
+def test_interpolant_evaluates_u_and_maps_once(counted, n, panels):
+    calls, u = counted
+    basis = build_basis("exponential", {"rates": 0.7}, n=n)
+    calls.update(u=0, values_at=0)
+    contour_interpolant(basis, u, 0.3, Contour(radius=1.5, panels=panels))
+    # psi and psi' on the panel points, psi(x), and w(x)
+    assert calls == {"u": 1, "values_at": 4}
+
+
+def test_reconstruction_gap_shares_one_panel_build(counted):
+    calls, u = counted
+    basis = build_basis("identity", n=8)
+    calls.update(u=0, values_at=0)
+    contour_reconstruction_gap(basis, u, 0.3, Contour(radius=2.0))
+    # one array call on the circle, one scalar call for u(x)
+    assert calls == {"u": 2, "values_at": 4}
+
+
+def test_panel_data_must_match_the_call():
+    basis = build_basis("identity", n=4)
+    contour = Contour(radius=2.0)
+    panel = _panel(basis, np.exp, 0.3, contour)
+    assert contour_error(basis, np.exp, 0.3, contour, panel=panel) == contour_error(
+        basis, np.exp, 0.3, contour
+    )
+    with pytest.raises(InvalidParameterError, match="panel data"):
+        contour_interpolant(basis, np.exp, 0.4, contour, panel=panel)
