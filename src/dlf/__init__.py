@@ -63,10 +63,8 @@ from .errors import (
 )
 from .exprlang import diff_expr, eval_expr, format_expr, parse_expr
 from .interp import (
-    Interpolant,
     TensorInterpolant,
     eval_interpolant,
-    eval_interpolant_nd,
     interpolate_1d,
     interpolate_nd,
     load_interpolant,
@@ -101,7 +99,6 @@ __all__ = [
     "ExprError",
     "FAMILY_KINDS",
     "FdStepError",
-    "Interpolant",
     "InvalidParameterError",
     "NewtonError",
     "NodeSet",
@@ -130,7 +127,6 @@ __all__ = [
     "dm_power_classical",
     "eval_expr",
     "eval_interpolant",
-    "eval_interpolant_nd",
     "format_expr",
     "generate_nodes",
     "interpolate_1d",

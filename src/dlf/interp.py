@@ -1,11 +1,12 @@
-"""Interpolants over one basis and tensor products of bases.
+"""Nodal interpolants on tensor products of bases; one basis is the 1-D case.
 
 Coefficients are nodal values: building an interpolant from samples is
 storage, not a linear solve, and evaluation at a node returns the matching
-coefficient exactly.  The p-dimensional interpolant evaluates as a dot
-product of the coefficient vector with the Kronecker chain of per-dimension
-basis values, coefficients ordered with the last dimension fastest
-(C-order flattening of the value grid).
+coefficient exactly.  Coefficients are ordered with the last dimension
+fastest (C-order flattening of the value grid).  Evaluation builds one
+``lagrange_matrix`` per dimension and contracts it with the coefficient
+grid one dimension at a time (the dense tensor form of Trefethen,
+*Spectral Methods in MATLAB*, ch. 7).
 """
 
 from __future__ import annotations
@@ -26,13 +27,10 @@ from .basis import (
 from .errors import InvalidParameterError
 
 __all__ = [
-    "Interpolant",
     "TensorInterpolant",
-    "kron_vec",
     "interpolate_1d",
     "eval_interpolant",
     "interpolate_nd",
-    "eval_interpolant_nd",
     "interpolant_to_json",
     "interpolant_from_json",
     "save_interpolant",
@@ -41,25 +39,8 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class Interpolant:
-    """Nodal coefficients paired with the basis they live on."""
-
-    basis: DlfBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.basis.size,):
-            raise InvalidParameterError(
-                f"expected {self.basis.size} coefficients, got shape {self.coeffs.shape}"
-            )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise InvalidParameterError("coefficients must be finite")
-
-
-@dataclass(eq=False)
 class TensorInterpolant:
-    """Tensor-product interpolant over ``p`` bases.
+    """Interpolant over ``p`` bases; ``p = 1`` is the 1-D interpolant.
 
     ``coeffs`` is flat with the last dimension fastest: entry for grid
     index ``(i_1, ..., i_p)`` sits at position
@@ -95,26 +76,9 @@ class TensorInterpolant:
         return self.coeffs.reshape(self.grid_shape)
 
 
-def kron_vec(a, b) -> np.ndarray:
-    """Kronecker product of two vectors: entry ``i*|b| + j`` is ``a_i b_j``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise InvalidParameterError("kron_vec expects one-dimensional inputs")
-    return np.kron(a, b)
-
-
-def interpolate_1d(basis: DlfBasis, samples) -> Interpolant:
+def interpolate_1d(basis: DlfBasis, samples) -> TensorInterpolant:
     """Wrap nodal samples as an interpolant (coefficients are the samples)."""
-    return Interpolant(basis=basis, coeffs=samples)
-
-
-def eval_interpolant(itp: Interpolant, x):
-    """``sum_j U_j L_j(x)``; scalar in, scalar out; 1-d array in, array out."""
-    arr = np.asarray(x)
-    if arr.ndim == 0:
-        return float(lagrange_values(itp.basis, x) @ itp.coeffs)
-    return lagrange_matrix(itp.basis, arr).T @ itp.coeffs
+    return TensorInterpolant(bases=[basis], coeffs=samples)
 
 
 def interpolate_nd(bases, grid_values) -> TensorInterpolant:
@@ -122,17 +86,38 @@ def interpolate_nd(bases, grid_values) -> TensorInterpolant:
     return TensorInterpolant(bases=list(bases), coeffs=grid_values)
 
 
-def eval_interpolant_nd(itp: TensorInterpolant, point) -> float:
-    """Dot the coefficients with the Kronecker chain of basis values."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (itp.ndim,):
+def eval_interpolant(itp: TensorInterpolant, x):
+    """``sum_i U_i prod_d L_{i_d}(x_d)`` at one point or at K points.
+
+    ``x`` is one point of shape ``(p,)`` (float out) or K points of shape
+    ``(K, p)`` (shape ``(K,)`` out).  For ``p = 1`` a scalar is one point
+    and a ``(K,)`` array is K points.
+    """
+    p = itp.ndim
+    pts = np.asarray(x)
+    if pts.ndim == 0 and p == 1:
+        return float(lagrange_values(itp.bases[0], x) @ itp.coeffs)
+    single = pts.ndim == 1 and p > 1
+    if single:
+        pts = pts[None, :]
+    elif pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != p:
         raise InvalidParameterError(
-            f"point must have {itp.ndim} coordinates, got shape {point.shape}"
+            f"points must have shape ({p},) or (K, {p}), got {np.shape(x)}"
         )
-    chain = lagrange_values(itp.bases[0], point[0])
-    for d in range(1, itp.ndim):
-        chain = kron_vec(chain, lagrange_values(itp.bases[d], point[d]))
-    return float(chain @ itp.coeffs)
+    k = pts.shape[0]
+    # the first contraction stays a BLAS matmul: for p = 1 it is the whole sum,
+    # bit for bit lagrange_matrix(...).T @ coeffs (an einsum would round differently)
+    vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ itp.coeffs.reshape(
+        itp.bases[0].size, -1
+    )
+    for d in range(1, p):
+        table = lagrange_matrix(itp.bases[d], pts[:, d])
+        vals = vals.reshape(k, itp.bases[d].size, -1)
+        vals = np.einsum("kir,ik->kr", vals, table)
+    vals = vals.reshape(k)
+    return float(vals[0]) if single else vals
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +162,16 @@ def _dim_basis(block: dict) -> DlfBasis:
     return validate_basis(fam, ns)
 
 
-def interpolant_to_json(itp) -> dict:
-    """JSON-ready dict for either interpolant kind (coefficients last-fastest)."""
-    if isinstance(itp, Interpolant):
-        return {
-            "kind": "interpolant",
-            "dims": [_dim_block(itp.basis)],
-            "coeffs": itp.coeffs.tolist(),
-            "ordering": "last-fastest",
-        }
-    if isinstance(itp, TensorInterpolant):
-        return {
-            "kind": "tensor-interpolant",
-            "dims": [_dim_block(b) for b in itp.bases],
-            "coeffs": itp.coeffs.tolist(),
-            "ordering": "last-fastest",
-        }
-    raise InvalidParameterError(f"cannot serialize {type(itp).__name__}")
+def interpolant_to_json(itp: TensorInterpolant) -> dict:
+    """JSON-ready dict (coefficients last-fastest); 1-D files say ``interpolant``."""
+    if not isinstance(itp, TensorInterpolant):
+        raise InvalidParameterError(f"cannot serialize {type(itp).__name__}")
+    return {
+        "kind": "interpolant" if itp.ndim == 1 else "tensor-interpolant",
+        "dims": [_dim_block(b) for b in itp.bases],
+        "coeffs": itp.coeffs.tolist(),
+        "ordering": "last-fastest",
+    }
 
 
 def interpolant_from_json(data: dict):
@@ -207,15 +185,12 @@ def interpolant_from_json(data: dict):
         raise InvalidParameterError(
             f"unsupported coefficient ordering {data.get('ordering')!r}"
         )
+    if kind not in ("interpolant", "tensor-interpolant"):
+        raise InvalidParameterError(f"unknown serialized kind {kind!r}")
     bases = [_dim_basis(block) for block in data["dims"]]
-    coeffs = np.asarray(data["coeffs"], dtype=float)
-    if kind == "interpolant":
-        if len(bases) != 1:
-            raise InvalidParameterError("1-d interpolant must have exactly one dim block")
-        return Interpolant(basis=bases[0], coeffs=coeffs)
-    if kind == "tensor-interpolant":
-        return TensorInterpolant(bases=bases, coeffs=coeffs)
-    raise InvalidParameterError(f"unknown serialized kind {kind!r}")
+    if kind == "interpolant" and len(bases) != 1:
+        raise InvalidParameterError("1-d interpolant must have exactly one dim block")
+    return TensorInterpolant(bases=bases, coeffs=data["coeffs"])
 
 
 def save_interpolant(itp, path) -> None:

@@ -26,6 +26,7 @@ over the sampled indices.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -42,7 +43,7 @@ from .errors import (
     NewtonError,
     SingularSystemError,
 )
-from .interp import Interpolant, TensorInterpolant
+from .interp import TensorInterpolant
 
 __all__ = [
     "CollocationProblem",
@@ -452,17 +453,11 @@ class SolveOptions:
 class SolveResult:
     """Solved interpolant plus solve diagnostics."""
 
-    interpolant: object
+    interpolant: TensorInterpolant
     iterations: int
     residual_norm: float
     linear: bool
     cond_estimate: float | None = None
-
-
-def _wrap_solution(system: CollocationSystem, u_flat: np.ndarray):
-    if system.problem.dim == 1:
-        return Interpolant(basis=system.bases[0], coeffs=u_flat)
-    return TensorInterpolant(bases=system.bases, coeffs=u_flat)
 
 
 def solve_system(system: CollocationSystem, options: SolveOptions | None = None) -> SolveResult:
@@ -491,7 +486,7 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
             ) from None
         res_norm = float(np.max(np.abs(system.evaluate_residual(u))))
         return SolveResult(
-            interpolant=_wrap_solution(system, u),
+            interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
             iterations=0,
             residual_norm=res_norm,
             linear=True,
@@ -504,7 +499,7 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
     for it in range(1, opts.max_iterations + 1):
         if norm <= opts.tol:
             return SolveResult(
-                interpolant=_wrap_solution(system, u),
+                interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
                 iterations=it - 1,
                 residual_norm=norm,
                 linear=False,
@@ -532,7 +527,7 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
         u, res, norm = trial, trial_res, trial_norm
     if norm <= opts.tol:
         return SolveResult(
-            interpolant=_wrap_solution(system, u),
+            interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
             iterations=opts.max_iterations,
             residual_norm=norm,
             linear=False,
@@ -554,36 +549,52 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _per_dim(value, dim: int, name: str) -> list:
-    """Broadcast a config entry to one value per dimension."""
-    if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-        seq = value
-    elif isinstance(value, (dict, int, float, str)):
-        seq = [value] * dim
-    elif isinstance(value, list) and len(value) == dim and not isinstance(value[0], (list, dict)):
-        # a flat list of scalars: one per dimension
-        seq = list(value)
-    else:
-        seq = value
-    if len(seq) != dim:
-        raise InvalidParameterError(f"config {name!r} must have {dim} entries")
-    return seq
+def _is_pair(v) -> bool:
+    return (
+        isinstance(v, (list, tuple))
+        and len(v) == 2
+        and all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in v)
+    )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# what one per-dimension entry of each config key looks like
+_CONFIG_ENTRY = {
+    "domains": _is_pair,
+    "splits": _is_pair,
+    "orders": _is_int,
+    "N": _is_int,
+    "family": lambda v: isinstance(v, dict),
+    "nodes": lambda v: isinstance(v, dict),
+}
+
+
+def _per_dim(key: str, value, dim: int) -> list:
+    """One entry of config ``key`` per dimension.
+
+    A single entry applies to every dimension; a list of exactly ``dim``
+    entries gives one per dimension; anything else is rejected.
+    """
+    is_entry = _CONFIG_ENTRY[key]
+    if is_entry(value):
+        return [value] * dim
+    if isinstance(value, list) and len(value) == dim and all(map(is_entry, value)):
+        return list(value)
+    raise InvalidParameterError(
+        f"config {key!r} must be one entry or a list of {dim} entries, got {value!r}"
+    )
 
 
 def problem_from_config(cfg: dict) -> CollocationProblem:
     dim = int(cfg.get("dim", 1))
-    domains = cfg["domains"]
-    if dim == 1 and domains and not isinstance(domains[0], list):
-        domains = [domains]
-    orders = cfg["orders"] if isinstance(cfg["orders"], list) else [cfg["orders"]]
-    splits = cfg["splits"]
-    if splits and not isinstance(splits[0], list):
-        splits = [splits]
     return CollocationProblem(
         dim=dim,
-        domains=[tuple(dom) for dom in domains],
-        orders=list(orders),
-        splits=[tuple(s) for s in splits],
+        domains=_per_dim("domains", cfg["domains"], dim),
+        orders=_per_dim("orders", cfg["orders"], dim),
+        splits=_per_dim("splits", cfg["splits"], dim),
         residual=cfg["residual"],
         rhs=cfg.get("rhs", "0"),
         conditions=cfg.get("conditions", []),
@@ -594,22 +605,26 @@ def problem_from_config(cfg: dict) -> CollocationProblem:
 def bases_from_config(cfg: dict, n_override=None) -> list:
     dim = int(cfg.get("dim", 1))
     problem = problem_from_config(cfg)
-    fams = _per_dim(cfg.get("family", {"kind": "identity"}), dim, "family")
-    nodes = _per_dim(cfg.get("nodes", {"scheme": "cgl"}), dim, "nodes")
-    n_val = n_override if n_override is not None else cfg["N"]
-    ns = _per_dim(n_val, dim, "N")
+    fams = _per_dim("family", cfg.get("family", {"kind": "identity"}), dim)
+    nodes = _per_dim("nodes", cfg.get("nodes", {"scheme": "cgl"}), dim)
+    ns = _per_dim("N", cfg["N"] if n_override is None else n_override, dim)
     out = []
     for d in range(dim):
         a, b = problem.domains[d]
         node_cfg = nodes[d]
         if "values" in node_cfg:
+            if len(node_cfg["values"]) != ns[d] + 1:
+                raise InvalidParameterError(
+                    f"dimension {d + 1}: N={ns[d]} needs {ns[d] + 1} node values, "
+                    f"config 'nodes' lists {len(node_cfg['values'])}"
+                )
             node_set = NodeSet(
                 nodes=np.asarray(node_cfg["values"], dtype=float),
                 domain=(a, b),
                 scheme=node_cfg.get("scheme", "custom"),
             )
         else:
-            node_set = generate_nodes(node_cfg.get("scheme", "cgl"), int(ns[d]), a, b)
+            node_set = generate_nodes(node_cfg.get("scheme", "cgl"), ns[d], a, b)
         fam_cfg = fams[d]
         fam = make_psi_family(
             fam_cfg.get("kind", "identity"),

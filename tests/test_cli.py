@@ -13,11 +13,13 @@ import sys
 import numpy as np
 import pytest
 
-from dlf.cli import main
+from dlf.cli import _build_parser, main
 from dlf.interp import eval_interpolant, load_interpolant
+from dlf.solver import solve_config
 
 SINE_CFG = "configs/sine_bvp.json"
 RICCATI_CFG = "configs/riccati_ivp.json"
+POISSON_CFG = "configs/poisson2d.json"
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +65,20 @@ class TestDispatch:
         code, _, err = run_cli(capsys, "solve", "--config", str(path))
         assert code == 1
         assert stderr_json(err)["error"] == "malformed-config"
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        assert _build_parser() is _build_parser()
+        _, order_one, _ = run_cli(capsys, "diffmat", "--N", "4")
+        code, _, _ = run_cli(capsys, "diffmat", "--N", "4", "--order", "3", "--route", "power")
+        assert code == 0
+        _, again, _ = run_cli(capsys, "diffmat", "--N", "4")
+        _, explicit, _ = run_cli(
+            capsys, "diffmat", "--N", "4", "--order", "1", "--route", "closed-form"
+        )
+        assert again == order_one == explicit
+        run_cli(capsys, "interp", "--expr", "x", "--N", "3", "--samples", "5")
+        _, out, _ = run_cli(capsys, "interp", "--expr", "x", "--N", "3")
+        assert json.loads(out)["kind"] == "interpolant"
 
     def test_numerical_failures_use_exit_code_2(self, capsys):
         # non-integer exponent over a domain with negative points
@@ -237,6 +253,24 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(out)["size"] == 9
 
+    def test_n_override_must_match_explicit_node_values(self, capsys, tmp_path):
+        cfg = json.load(open(SINE_CFG))
+        cfg.update(N=3, nodes={"values": [0.0, 0.3, 0.7, 1.0]})
+        path = tmp_path / "four_nodes.json"
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path))
+        assert code == 0
+        assert json.loads(out)["size"] == 4
+        code, _, err = run_cli(capsys, "solve", "--config", str(path), "--N", "12")
+        assert code == 2
+        assert stderr_json(err)["error"] == "invalid-parameter"
+        code, out, err = run_cli(
+            capsys, "converge", "--config", str(path), "--N", "4,8,16"
+        )
+        assert code == 2
+        assert out == ""
+        assert "node values" in stderr_json(err)["message"]
+
     def test_artifact_files(self, capsys, tmp_path):
         outdir = tmp_path / "run1"
         code, _, _ = run_cli(
@@ -290,6 +324,24 @@ class TestConvergeCommand:
         errs = [float(r[1]) for r in rows]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-10
+
+    def test_poisson2d_error_is_measured_off_the_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "converge", "--config", POISSON_CFG, "--N", "8,12")
+        assert code == 0
+        errs = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        cfg = json.load(open(POISSON_CFG))
+        axis = np.linspace(0.0, 1.0, 41)
+        x1, x2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        exact = np.sin(np.pi * x1) * np.sin(np.pi * x2)
+        for n, err in zip((8, 12), errs):
+            itp = solve_config(cfg, n_override=n).interpolant
+            off_grid = np.max(np.abs(eval_interpolant(itp, np.stack([x1, x2], 1)) - exact))
+            nodes = np.meshgrid(*[b.nodes.nodes for b in itp.bases], indexing="ij")
+            at_nodes = np.max(
+                np.abs(itp.grid_values() - np.sin(np.pi * nodes[0]) * np.sin(np.pi * nodes[1]))
+            )
+            assert err == pytest.approx(off_grid, rel=1e-12)
+            assert err != pytest.approx(at_nodes, rel=1e-3)
 
     def test_non_timing_columns_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "converge", "--config", SINE_CFG, "--N", "4,8")

@@ -6,23 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlf.basis import NodeSet, generate_nodes, make_psi_family, validate_basis
+from dlf.basis import (
+    FAMILY_KINDS,
+    NodeSet,
+    dlf_eval,
+    generate_nodes,
+    lagrange_matrix,
+    lagrange_values,
+    make_psi_family,
+    validate_basis,
+)
 from dlf.errors import InvalidParameterError
 from dlf.interp import (
-    Interpolant,
     TensorInterpolant,
     eval_interpolant,
-    eval_interpolant_nd,
     interpolant_from_json,
     interpolant_to_json,
     interpolate_1d,
     interpolate_nd,
-    kron_vec,
     load_interpolant,
     save_interpolant,
 )
 
 from conftest import build_basis
+from test_basis import KIND_CASES
 
 
 def runge(x):
@@ -103,28 +110,113 @@ class TestValidation:
 
     def test_point_arity(self):
         bx = build_basis("identity", n=2)
-        itp = interpolate_nd([bx], np.zeros(3))
+        itp = interpolate_nd([bx, bx], np.zeros(9))
         with pytest.raises(InvalidParameterError):
-            eval_interpolant_nd(itp, [0.0, 0.0])
+            eval_interpolant(itp, [0.0, 0.0, 0.0])
 
-    def test_kron_vec_rejects_matrices(self):
+    def test_rejects_three_dimensional_points(self):
+        bx = build_basis("identity", n=2)
+        itp = interpolate_nd([bx, bx], np.zeros(9))
         with pytest.raises(InvalidParameterError):
-            kron_vec(np.eye(2), np.ones(2))
+            eval_interpolant(itp, np.zeros((2, 3, 2)))
 
 
-def test_kron_vec_ordering():
-    np.testing.assert_array_equal(kron_vec([1.0, 2.0], [3.0, 4.0]), [3.0, 4.0, 6.0, 8.0])
+def test_evaluation_follows_last_fastest_ordering():
+    bx = build_basis("identity", n=2)
+    by = build_basis("identity", n=3)
+    point = np.array([0.3, -0.7])
+    for i in range(bx.size):
+        for j in range(by.size):
+            unit = np.zeros(bx.size * by.size)
+            unit[i * by.size + j] = 1.0
+            want = lagrange_values(bx, point[0])[i] * lagrange_values(by, point[1])[j]
+            got = eval_interpolant(interpolate_nd([bx, by], unit), point)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-16)
 
 
 def test_one_dimensional_tensor_matches_plain_interpolant_bitwise(rng):
-    basis = build_basis("identity", n=6)
-    coeffs = rng.normal(size=7)
-    flat = interpolate_1d(basis, coeffs)
-    tensor = interpolate_nd([basis], coeffs)
-    for x in np.linspace(-1.0, 1.0, 17):
-        assert eval_interpolant_nd(tensor, [float(x)]) == eval_interpolant(
-            flat, float(x)
-        )
+    # one basis is the 1-D interpolant: a scalar is lagrange_values @ coeffs and
+    # K points are lagrange_matrix.T @ coeffs, bit for bit, in every point form
+    for kind in FAMILY_KINDS:
+        _, params, (a, b) = KIND_CASES[kind]
+        for n in (4, 16, 64):
+            basis = build_basis(kind, params, n=n, a=a, b=b)
+            coeffs = rng.normal(size=basis.size)
+            itp = interpolate_nd([basis], coeffs)
+            xs = rng.uniform(a, b, 257)
+            batch = eval_interpolant(itp, xs)
+            np.testing.assert_array_equal(batch, lagrange_matrix(basis, xs).T @ coeffs)
+            np.testing.assert_array_equal(eval_interpolant(itp, xs[:, None]), batch)
+            for x in xs[:9]:
+                value = eval_interpolant(itp, float(x))
+                assert type(value) is float
+                assert value == lagrange_values(basis, float(x)) @ coeffs
+
+
+def _tensor_case(kind, sizes, rng):
+    _, params, (a, b) = KIND_CASES[kind]
+    bases = [build_basis(kind, params, n=n - 1, a=a, b=b) for n in sizes]
+    itp = interpolate_nd(bases, rng.normal(size=int(np.prod(sizes))))
+    return itp, (a, b)
+
+
+@pytest.mark.parametrize("sizes", [(7, 10), (5, 6, 7)], ids=["p2", "p3"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_tensor_evaluation_matches_product_form(kind, sizes, rng):
+    itp, (a, b) = _tensor_case(kind, sizes, rng)
+    p = itp.ndim
+    points = rng.uniform(a, b, size=(60, p))
+    got = eval_interpolant(itp, points)
+    # sum over the grid of c_i * prod_d L_{i_d}(x_d), each L from its defining product
+    tables = [
+        np.array([dlf_eval(basis, j, points[:, d]) for j in range(basis.size)])
+        for d, basis in enumerate(itp.bases)
+    ]
+    spec = ",".join(["abc"[:p]] + [f"{c}k" for c in "abc"[:p]]) + "->k"
+    want = np.einsum(spec, itp.grid_values(), *tables)
+    scale = np.einsum(spec, np.abs(itp.grid_values()), *map(np.abs, tables))
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    for k in range(0, 60, 15):
+        assert eval_interpolant(itp, points[k]) == pytest.approx(got[k], rel=1e-14)
+    # at grid nodes the value is the coefficient itself, bit for bit
+    nodes = [basis.nodes.nodes for basis in itp.bases]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
+    np.testing.assert_array_equal(eval_interpolant(itp, grid), itp.coeffs)
+
+
+def test_point_shapes(rng):
+    bx = build_basis("identity", n=4)
+    line = interpolate_1d(bx, rng.normal(size=5))
+    plane = interpolate_nd([bx, bx], rng.normal(size=25))
+    assert type(eval_interpolant(line, 0.25)) is float
+    assert eval_interpolant(line, np.array([0.25, 0.5])).shape == (2,)
+    assert eval_interpolant(line, np.array([[0.25], [0.5], [0.75]])).shape == (3,)
+    assert type(eval_interpolant(plane, [0.25, 0.5])) is float
+    assert eval_interpolant(plane, np.zeros((4, 2))).shape == (4,)
+
+
+@pytest.mark.parametrize(
+    "ndim, points",
+    [
+        (1, np.zeros((3, 2))),
+        (1, np.zeros(0)),
+        (1, np.zeros((0, 1))),
+        (1, np.zeros((2, 1, 1))),
+        (2, 0.5),
+        (2, np.zeros((4, 3))),
+        (2, np.zeros(0)),
+        (2, np.zeros((0, 2))),
+    ],
+    ids=[
+        "1d-trailing", "1d-empty", "1d-empty-2d", "1d-3d",
+        "2d-scalar", "2d-trailing", "2d-empty", "2d-empty-2d",
+    ],
+)
+def test_bad_point_shapes_rejected(ndim, points):
+    bx = build_basis("identity", n=3)
+    itp = interpolate_nd([bx] * ndim, np.ones(4**ndim))
+    with pytest.raises(InvalidParameterError):
+        eval_interpolant(itp, points)
 
 
 def test_bilinear_functions_are_reproduced(rng):
@@ -135,7 +227,7 @@ def test_bilinear_functions_are_reproduced(rng):
     itp = interpolate_nd([bx, by], grid.ravel())
     for _ in range(25):
         x, y = rng.uniform(-1.0, 1.0, size=2)
-        assert eval_interpolant_nd(itp, [x, y]) == pytest.approx(g(x, y), abs=1e-13)
+        assert eval_interpolant(itp, [x, y]) == pytest.approx(g(x, y), abs=1e-13)
 
 
 def test_grid_values_round_trips_c_order(rng):
@@ -157,7 +249,7 @@ def test_nodal_grid_evaluation_matches_coefficients(rng):
     itp = interpolate_nd([bx, by], grid.ravel())
     for i, x in enumerate(bx.nodes.nodes):
         for j, y in enumerate(by.nodes.nodes):
-            assert eval_interpolant_nd(itp, [x, y]) == grid[i, j]
+            assert eval_interpolant(itp, [x, y]) == grid[i, j]
 
 
 # -- persistence -----------------------------------------------------------
@@ -170,9 +262,10 @@ def test_json_round_trip_1d(tmp_path, rng):
     path = tmp_path / "itp.json"
     save_interpolant(itp, path)
     back = load_interpolant(path)
-    assert isinstance(back, Interpolant)
+    assert isinstance(back, TensorInterpolant)
+    assert back.ndim == 1
     np.testing.assert_array_equal(back.coeffs, itp.coeffs)
-    np.testing.assert_array_equal(back.basis.nodes.nodes, basis.nodes.nodes)
+    np.testing.assert_array_equal(back.bases[0].nodes.nodes, basis.nodes.nodes)
     for x in np.linspace(0.1, 0.9, 7):
         assert eval_interpolant(back, float(x)) == eval_interpolant(itp, float(x))
 
@@ -186,9 +279,7 @@ def test_json_round_trip_tensor(tmp_path, rng):
     back = load_interpolant(path)
     assert isinstance(back, TensorInterpolant)
     assert back.grid_shape == (4, 5)
-    assert eval_interpolant_nd(back, [0.2, 0.8]) == eval_interpolant_nd(
-        itp, [0.2, 0.8]
-    )
+    assert eval_interpolant(back, [0.2, 0.8]) == eval_interpolant(itp, [0.2, 0.8])
 
 
 def test_json_round_trip_semi_infinite_domain(tmp_path):
@@ -198,7 +289,7 @@ def test_json_round_trip_semi_infinite_domain(tmp_path):
     path = tmp_path / "semi.json"
     save_interpolant(itp, path)
     back = load_interpolant(path)
-    assert back.basis.nodes.domain == (0.0, float("inf"))
+    assert back.bases[0].nodes.domain == (0.0, float("inf"))
     assert eval_interpolant(back, 100.0) == eval_interpolant(itp, 100.0)
 
 
@@ -209,6 +300,20 @@ def test_serialized_form_is_plain_data():
     assert blob["ordering"] == "last-fastest"
     assert blob["dims"][0]["family"]["kind"] == "identity"
     json.dumps(blob)  # must not need custom encoders
+
+
+def test_kind_tag_follows_dimension():
+    basis = build_basis("identity", n=2)
+    line = interpolant_to_json(interpolate_nd([basis], [1.0, 2.0, 3.0]))
+    assert line["kind"] == "interpolant"
+    plane = interpolant_to_json(interpolate_nd([basis, basis], np.arange(9.0)))
+    assert plane["kind"] == "tensor-interpolant"
+    # files that tag a one-basis interpolant as a tensor still load
+    line["kind"] = "tensor-interpolant"
+    assert interpolant_from_json(line).ndim == 1
+    plane["kind"] = "interpolant"
+    with pytest.raises(InvalidParameterError, match="exactly one dim block"):
+        interpolant_from_json(plane)
 
 
 def test_from_json_rejects_unknown_kind():

@@ -12,7 +12,7 @@ from dlf.errors import (
     NewtonError,
     SingularSystemError,
 )
-from dlf.interp import TensorInterpolant, eval_interpolant, eval_interpolant_nd
+from dlf.interp import TensorInterpolant, eval_interpolant
 from dlf.solver import (
     CollocationProblem,
     SolveOptions,
@@ -343,7 +343,7 @@ class TestLinearSolves:
         assert isinstance(result.interpolant, TensorInterpolant)
         for x1 in (0.2, 0.5, 0.9):
             for x2 in (0.1, 0.6):
-                val = eval_interpolant_nd(result.interpolant, [x1, x2])
+                val = eval_interpolant(result.interpolant, [x1, x2])
                 assert val == pytest.approx(x1**2 + x2**2, abs=1e-10)
 
     def test_singular_system_reported(self):
@@ -520,6 +520,65 @@ class TestConfigs:
         cfg = load_config("configs/poisson2d.json")
         cfg["N"] = [12, 12, 12]
         with pytest.raises(InvalidParameterError):
+            bases_from_config(cfg)
+
+    # one entry of each key, equal to the per-dimension lists of poisson2d
+    SINGLE_ENTRIES = {
+        "domains": [0.0, 1.0],
+        "splits": [1, 1],
+        "orders": 2,
+        "N": 12,
+        "family": {"kind": "identity"},
+        "nodes": {"scheme": "cgl"},
+    }
+
+    @pytest.mark.parametrize("key", sorted(SINGLE_ENTRIES))
+    def test_single_entry_applies_to_every_dimension(self, key):
+        per_dim = load_config("configs/poisson2d.json")
+        per_dim[key] = [self.SINGLE_ENTRIES[key]] * 2
+        single = dict(per_dim, **{key: self.SINGLE_ENTRIES[key]})
+        a, b = problem_from_config(per_dim), problem_from_config(single)
+        assert (a.domains, a.orders, a.splits) == (b.domains, b.orders, b.splits)
+        for ba, bb in zip(bases_from_config(per_dim), bases_from_config(single)):
+            np.testing.assert_array_equal(ba.nodes.nodes, bb.nodes.nodes)
+            assert ba.psi.kind == bb.psi.kind
+
+    @pytest.mark.parametrize("key", sorted(SINGLE_ENTRIES))
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_entry_count_must_match_dimension(self, key, count):
+        cfg = load_config("configs/poisson2d.json")
+        cfg[key] = [self.SINGLE_ENTRIES[key]] * count
+        with pytest.raises(InvalidParameterError, match=repr(key)):
+            bases_from_config(cfg)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("domains", [0.0, 1.0, 2.0]),
+            ("domains", [[0.0, 1.0], [0.0, "1"]]),
+            ("splits", [[1, 1], 1]),
+            ("orders", 2.0),
+            ("orders", [2, "2"]),
+            ("N", 12.5),
+            ("N", True),
+            ("family", "identity"),
+            ("nodes", [{"scheme": "cgl"}, "cgl"]),
+        ],
+    )
+    def test_malformed_entries_rejected(self, key, value):
+        cfg = load_config("configs/poisson2d.json")
+        cfg[key] = value
+        with pytest.raises(InvalidParameterError, match=repr(key)):
+            bases_from_config(cfg)
+
+    def test_node_values_must_match_n(self):
+        cfg = load_config("configs/sine_bvp.json")
+        cfg.update(N=3, nodes={"values": [0.0, 0.3, 0.7, 1.0]})
+        assert bases_from_config(cfg)[0].size == 4
+        with pytest.raises(InvalidParameterError, match="node values"):
+            bases_from_config(cfg, n_override=8)
+        cfg["N"] = 4
+        with pytest.raises(InvalidParameterError, match="node values"):
             bases_from_config(cfg)
 
     def test_riccati_config_round_trip(self):
