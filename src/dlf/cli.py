@@ -140,6 +140,10 @@ def _basis_from_flags(args, default_domain=(-1.0, 1.0)):
             values = [float(tok) for tok in args.nodes.split(",")]
         except ValueError:
             raise UsageError(f"--nodes expects comma-separated numbers") from None
+        if args.N is not None and args.N + 1 != len(values):
+            raise UsageError(
+                f"--N {args.N} needs {args.N + 1} nodes, --nodes lists {len(values)}"
+            )
         node_set = NodeSet(np.asarray(values), domain, "user-supplied")
     else:
         n = args.N if args.N is not None else 8
@@ -279,6 +283,7 @@ def _cmd_solve(args) -> int:
         "size": system.size,
         "rows": roles,
         "linear": result.linear,
+        "route": result.route,
         "iterations": result.iterations,
         "residual_norm": result.residual_norm,
     }

@@ -107,6 +107,18 @@ class TestBasisCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    def test_n_must_match_custom_nodes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "basis", "--nodes", "0,0.5,1", "--N", "12", "--domain", "0,1"
+        )
+        assert (code, out) == (1, "")
+        assert stderr_json(err)["error"] == "usage"
+        code, out, _ = run_cli(
+            capsys, "basis", "--nodes", "0,0.5,1", "--N", "2", "--domain", "0,1"
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+
     def test_out_file_and_summary(self, capsys, tmp_path):
         target = tmp_path / "basis.csv"
         code, out, _ = run_cli(capsys, "basis", "--N", "3", "--out", str(target))
@@ -244,9 +256,29 @@ class TestSolveCommand:
         assert report["size"] == 17
         assert report["rows"] == {"interior": 15, "initial": 1, "boundary": 1}
         assert report["linear"] is True
+        assert report["route"] == "dense"
         assert report["iterations"] == 0
         assert report["residual_norm"] < 1e-9
         assert report["cond_estimate"] > 1.0
+
+    def test_poisson2d_report(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--config", POISSON_CFG)
+        assert code == 0
+        report = json.loads(out)
+        assert report["route"] == "diagonalised"
+        assert report["residual_norm"] < 1e-10
+        assert 1.0 < report["cond_estimate"] < 1e8
+
+    def test_singular_system_fails(self, capsys, tmp_path):
+        cfg = json.load(open(POISSON_CFG))
+        cfg.update(residual="u_2,0 - u_0,2", rhs="0")
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        body = stderr_json(err)
+        assert body["error"] == "singular-system"
+        assert body["cond_estimate"] >= 1.0 / np.finfo(float).eps
 
     def test_n_override(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--config", SINE_CFG, "--N", "8")

@@ -1,8 +1,11 @@
 """Collocation assembly, row bookkeeping, and the linear/Newton solvers."""
 
+import time
+
 import numpy as np
 import pytest
 
+from dlf import solver
 from dlf.basis import NodeSet, make_psi_family, validate_basis
 from dlf.errors import (
     AssemblyError,
@@ -15,6 +18,7 @@ from dlf.errors import (
 from dlf.interp import TensorInterpolant, eval_interpolant
 from dlf.solver import (
     CollocationProblem,
+    CollocationSystem,
     SolveOptions,
     assemble_collocation_1d,
     assemble_collocation_nd,
@@ -401,6 +405,192 @@ class TestLinearSolves:
         assert np.max(np.abs(jac - probed)) < 1e-6 * (1.0 + np.max(np.abs(jac)))
 
 
+def dirichlet_problem(residual, conds, rhs="0"):
+    """Order-2 problem with order-0 conditions on every face; ``conds`` lists
+    the data face by face (a1, b1, a2, b2, ...)."""
+    dim = len(conds) // 2
+    faces = [f"{side}{d + 1}" for d in range(dim) for side in "ab"]
+    return CollocationProblem(
+        dim=dim,
+        domains=[(0.0, 1.0)] * dim,
+        orders=[2] * dim,
+        splits=[(1, 1)] * dim,
+        residual=residual,
+        rhs=rhs,
+        conditions=[{"face": f, "order": 0, "expr": e} for f, e in zip(faces, conds)],
+    )
+
+
+def solve_dense(system, monkeypatch):
+    """The dense LU solve of ``system``: the reference for the diagonalised route."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_separable_blocks", lambda system: None)
+        return solve_system(system)
+
+
+def poisson2d_system(ns):
+    cfg = load_config("configs/poisson2d.json")
+    return assemble_collocation_nd(problem_from_config(cfg), bases_from_config(cfg, ns))
+
+
+ZERO_DATA = ("0",) * 4
+HARMONIC = ("sin(x2)", "exp(1)*sin(x2)", "0", "exp(x1)*sin(1)")  # u = exp(x1) sin(x2)
+
+# (residual, rhs, conditions, per-dimension (kind, params, N))
+DIFFERENTIAL_CASES = {
+    **{
+        f"poisson2d-N{n}": ("u_2,0 + u_0,2", None, None, [("identity", None, n)] * 2)
+        for n in (8, 12, 16, 20, 24, 28)
+    },
+    **{
+        f"poisson2d-{n1}x{n2}": ("u_2,0 + u_0,2", None, None, [("identity", None, n1), ("identity", None, n2)])
+        for n1, n2 in ((12, 17), (20, 9), (28, 16))
+    },
+    **{
+        f"harmonic-{n1}x{n2}": ("u_2,0 + u_0,2", "0", HARMONIC, [("identity", None, n1), ("identity", None, n2)])
+        for n1, n2 in ((8, 13), (16, 21))
+    },
+    **{
+        f"helmholtz-rational-N{n}": (
+            "2*u_2,0 + 0.5*u_0,2 - 3*u",
+            "sin(x1)*x2",
+            ("x2", "1 + x2", "x1", "x1^2"),
+            [("rational", {"L": 5.0}, n), ("identity", None, n + 3)],
+        )
+        for n in (8, 16)
+    },
+    "shifted-identity": (
+        "u_2,0 + u_0,2 - 4*u", "x1*x2", ("x2", "1", "0", "x1^2"), [("identity", None, 14)] * 2
+    ),
+    **{
+        f"poisson3d-{'x'.join(map(str, ns))}": (
+            "u_2,0,0 + u_0,2,0 + u_0,0,2",
+            "6",
+            ("x2^2 + x3^2", "1 + x2^2 + x3^2", "x1^2 + x3^2", "x1^2 + 1 + x3^2",
+             "x1^2 + x2^2", "x1^2 + x2^2 + 1"),
+            [("identity", None, n) for n in ns],
+        )
+        for ns in ((4, 5, 6), (8, 8, 8))
+    },
+}
+
+
+class TestDiagonalisedRoute:
+    def system(self, case):
+        residual, rhs, conds, dims = DIFFERENTIAL_CASES[case]
+        if rhs is None:
+            return poisson2d_system([n for _, _, n in dims])
+        bases = [build_basis(kind, params, n=n, a=0.0, b=1.0) for kind, params, n in dims]
+        return assemble_collocation_nd(dirichlet_problem(residual, conds, rhs), bases)
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_agrees_with_the_dense_solve(self, case, monkeypatch):
+        system = self.system(case)
+        fast = solve_system(system)
+        dense = solve_dense(system, monkeypatch)
+        assert (fast.route, dense.route) == ("diagonalised", "dense")
+        assert fast.linear and fast.iterations == 0
+        u, ref = fast.interpolant.coeffs, dense.interpolant.coeffs
+        assert np.max(np.abs(u - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        assert fast.residual_norm <= 100 * max(dense.residual_norm, 1e-13)
+        assert 1.0 < fast.cond_estimate < 1e10
+
+    @pytest.mark.parametrize(
+        "case, exact",
+        [
+            ("harmonic-16x21", lambda x1, x2: np.exp(x1) * np.sin(x2)),
+            ("poisson3d-8x8x8", lambda x1, x2, x3: x1**2 + x2**2 + x3**2),
+        ],
+    )
+    def test_matches_exact_solution_to_rounding(self, case, exact):
+        system = self.system(case)
+        result = solve_system(system)
+        grids = np.meshgrid(*(b.nodes.nodes for b in system.bases), indexing="ij")
+        assert np.max(np.abs(result.interpolant.coeffs - exact(*grids).ravel())) < 1e-12
+
+    @pytest.mark.parametrize(
+        "residual, separable",
+        [
+            ("x1*u_2,0 + u_0,2", False),  # variable coefficient
+            ("u_2,0 + u_0,2 + u_1,1", False),  # mixed partial
+            ("u_1,0 - 0.1*u_0,2", True),  # separable, but with a complex spectrum
+        ],
+    )
+    def test_other_linear_problems_go_dense(self, residual, separable):
+        bases = [build_basis("identity", n=12, a=0.0, b=1.0)] * 2
+        system = assemble_collocation_nd(dirichlet_problem(residual, ZERO_DATA, "1"), bases)
+        assert (solver._separable_blocks(system) is not None) == separable
+        result = solve_system(system)
+        assert (result.linear, result.route) == (True, "dense")
+        assert result.residual_norm < 1e-8
+
+    def test_order_one_condition_goes_dense(self):
+        prob = CollocationProblem(
+            dim=2,
+            domains=[(0.0, 1.0)] * 2,
+            orders=[2, 2],
+            splits=[(1, 1)] * 2,
+            residual="u_2,0 + u_0,2",
+            rhs="1",
+            conditions=[
+                {"face": face, "order": k, "expr": "0"}
+                for face, k in (("a1", 0), ("b1", 1), ("a2", 0), ("b2", 0))
+            ],
+        )
+        bases = [build_basis("identity", n=10, a=0.0, b=1.0)] * 2
+        result = solve_system(assemble_collocation_nd(prob, bases))
+        assert result.route == "dense"
+        assert result.residual_norm < 1e-8
+
+    def test_nonlinear_and_one_dimensional_problems_go_dense(self):
+        bases = [build_basis("identity", n=10, a=0.0, b=1.0)] * 2
+        prob = dirichlet_problem("u_2,0 + u_0,2 - u^2", ZERO_DATA, "1")
+        result = solve_system(assemble_collocation_nd(prob, bases))
+        assert (result.linear, result.route) == (False, "dense")
+        result = solve_config(load_config("configs/sine_bvp.json"))
+        assert (result.linear, result.route) == (True, "dense")
+
+    @pytest.mark.parametrize("threshold", ["_KAPPA_MAX", "_RESIDUAL_FACTOR"])
+    def test_failed_check_falls_back_to_dense(self, threshold, monkeypatch):
+        system = poisson2d_system([12, 12])
+        monkeypatch.setattr(solver, threshold, 0.0)
+        result = solve_system(system)
+        assert result.route == "dense"
+        assert result.residual_norm < 1e-10
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_singular_operator_raises_on_both_routes(self, n):
+        # u_2,0 - u_0,2 on a square grid has eigenvalue sums l_i - l_i = 0
+        bases = [build_basis("identity", n=n, a=0.0, b=1.0)] * 2
+        system = assemble_collocation_nd(dirichlet_problem("u_2,0 - u_0,2", ZERO_DATA), bases)
+        with pytest.raises(SingularSystemError) as exc:
+            solve_system(system)
+        assert exc.value.cond_estimate >= 1.0 / np.finfo(float).eps
+
+    def test_no_dense_work_on_the_route(self, monkeypatch):
+        def no_jacobian(self, u_flat):
+            raise AssertionError("the diagonalised route built a dense Jacobian")
+
+        monkeypatch.setattr(CollocationSystem, "evaluate_jacobian", no_jacobian)
+        # 16,641 unknowns: the dense Jacobian alone would be 2.2 GB
+        system = poisson2d_system([128, 128])
+        result = solve_system(system)
+        assert result.route == "diagonalised"
+        x1, x2 = np.meshgrid(*(b.nodes.nodes for b in system.bases), indexing="ij")
+        exact = np.sin(np.pi * x1) * np.sin(np.pi * x2)
+        assert np.max(np.abs(result.interpolant.coeffs - exact.ravel())) < 1e-11
+
+    def test_poisson2d_n56_under_50ms(self):
+        system = poisson2d_system([56, 56])
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            result = solve_system(system)
+            best = min(best, time.perf_counter() - t0)
+        assert result.route == "diagonalised"
+        assert best < 0.050
+
+
 class TestNewtonSolves:
     def riccati(self):
         return bvp_problem(
@@ -543,13 +733,18 @@ class TestConfigs:
             np.testing.assert_array_equal(ba.nodes.nodes, bb.nodes.nodes)
             assert ba.psi.kind == bb.psi.kind
 
+    @staticmethod
+    def load(cfg):
+        """Everything a solve reads from a config: the problem, then the bases."""
+        return problem_from_config(cfg), bases_from_config(cfg)
+
     @pytest.mark.parametrize("key", sorted(SINGLE_ENTRIES))
     @pytest.mark.parametrize("count", [1, 3])
     def test_entry_count_must_match_dimension(self, key, count):
         cfg = load_config("configs/poisson2d.json")
         cfg[key] = [self.SINGLE_ENTRIES[key]] * count
         with pytest.raises(InvalidParameterError, match=repr(key)):
-            bases_from_config(cfg)
+            self.load(cfg)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -569,7 +764,15 @@ class TestConfigs:
         cfg = load_config("configs/poisson2d.json")
         cfg[key] = value
         with pytest.raises(InvalidParameterError, match=repr(key)):
-            bases_from_config(cfg)
+            self.load(cfg)
+
+    @pytest.mark.parametrize("value", [2.9, True, 0, "2"])
+    def test_dim_must_be_a_positive_integer(self, value):
+        cfg = load_config("configs/poisson2d.json")
+        cfg["dim"] = value
+        for read in (problem_from_config, bases_from_config):
+            with pytest.raises(InvalidParameterError, match="'dim'"):
+                read(cfg)
 
     def test_node_values_must_match_n(self):
         cfg = load_config("configs/sine_bvp.json")
