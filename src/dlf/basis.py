@@ -377,6 +377,7 @@ class NodeSet:
     nodes: np.ndarray
     domain: tuple
     scheme: str = "user-supplied"
+    bounds: tuple = field(init=False, repr=False)  # what ``contains`` accepts
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -391,12 +392,14 @@ class NodeSet:
             raise InvalidParameterError(f"bad domain [{a}, {b}]")
         if not a < b:
             raise InvalidParameterError(f"domain requires a < b, got [{a}, {b}]")
-        slack = 1e-12 * max(1.0, abs(a), abs(self.nodes[-1]))
-        if self.nodes[0] < a - slack or (np.isfinite(b) and self.nodes[-1] > b + slack):
+        self.domain = (float(a), float(b))
+        slack = 1e-12 * max(1.0, abs(self.domain[0]), abs(float(self.nodes[-1])))
+        # b + slack is inf on a semi-infinite domain; NaN fails both comparisons
+        self.bounds = (self.domain[0] - slack, self.domain[1] + slack)
+        if not (self.contains(self.nodes[0]) and self.contains(self.nodes[-1])):
             raise DomainError(
                 f"nodes [{self.nodes[0]}, {self.nodes[-1]}] exceed domain [{a}, {b}]"
             )
-        self.domain = (float(a), float(b))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -411,9 +414,9 @@ class NodeSet:
         return NodeSet(self.nodes.copy(), (a, b), self.scheme)
 
     def contains(self, x: float) -> bool:
-        a, b = self.domain
-        slack = 1e-12 * max(1.0, abs(a), abs(self.nodes[-1]))
-        return a - slack <= x and (not np.isfinite(b) or x <= b + slack)
+        """``x`` lies in the domain widened by ``1e-12 * max(1, |a|, |x_N|)``."""
+        lo, hi = self.bounds
+        return lo <= x <= hi
 
 
 def generate_nodes(scheme: str, N: int, a: float, b: float) -> NodeSet:
@@ -477,10 +480,13 @@ class DlfBasis:
         return self.nodes.n
 
     def _check_point(self, x):
-        arr = np.asarray(x)
-        if np.iscomplexobj(arr):
-            return  # complex evaluation is the contour module's business
-        lo, hi = float(np.min(arr)), float(np.max(arr))
+        if isinstance(x, (int, float)):  # also numpy float64: no array round trip
+            lo = hi = x
+        else:
+            arr = np.asarray(x)
+            if arr.dtype.kind == "c":
+                return  # complex evaluation is the contour module's business
+            lo, hi = arr.min(), arr.max()
         if not (self.nodes.contains(lo) and self.nodes.contains(hi)):
             a, b = self.nodes.domain
             raise DomainError(f"point {x} outside domain [{a}, {b}]")

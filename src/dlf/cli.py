@@ -9,14 +9,17 @@ interpolant), ``solve`` (run a collocation problem from a JSON config),
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure.  All
 failures write a single-line JSON object to stderr with an ``error`` tag,
 a ``message``, and any structured detail the originating exception
-carries.  Floating-point output uses 17 significant digits throughout.
-Flags override the matching config keys.
+carries.  CSV numbers are written as ``%.16e`` (17 significant digits);
+JSON floats use Python's shortest round-trip ``repr``.  Flags override the
+matching config keys.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
+import itertools
 import json
 import math
 import os
@@ -50,6 +53,7 @@ from .interp import (
     eval_interpolant,
     interpolant_to_json,
     interpolate_1d,
+    save_interpolant,
 )
 from .solver import (
     SolveOptions,
@@ -73,15 +77,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.16e}"
+def _table(table, line: str | None = None) -> str:
+    """CSV lines of a ``(rows, cols)`` float table: ``%.16e`` (or ``line``) in one ``%``."""
+    table = np.asarray(table, dtype=float)
+    rows, cols = table.shape
+    line = line or ",".join(["%.16e"] * cols) + "\n"
+    return (line * rows) % tuple(table.ravel().tolist())
 
 
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
@@ -174,23 +180,9 @@ def _apply_overrides(cfg: dict, args) -> dict:
 
 def _cmd_basis(args) -> int:
     basis = _basis_from_flags(args)
-    lines = ["j,x_j,mu_j,wprime_j,wsecond_j"]
-    for j in range(basis.size):
-        lines.append(
-            ",".join(
-                [str(j)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        basis.nodes.nodes[j],
-                        basis.mu[j],
-                        basis.wprime_at_nodes[j],
-                        basis.wsecond_at_nodes[j],
-                    )
-                ]
-            )
-        )
-    csv = "\n".join(lines) + "\n"
+    table = np.column_stack([np.arange(basis.size), basis.nodes.nodes, basis.mu,
+                             basis.wprime_at_nodes, basis.wsecond_at_nodes])
+    csv = "j,x_j,mu_j,wprime_j,wsecond_j\n" + _table(table, "%d" + ",%.16e" * 4 + "\n")
     if args.out:
         _write_text(args.out, csv)
         summary = {
@@ -224,8 +216,7 @@ def _cmd_diffmat(args) -> int:
         mat = dm_oracle_fd(basis, m, step=args.fd_step)
     else:  # pragma: no cover - argparse choices guard this
         raise UsageError(f"unknown route {route!r}")
-    csv = "\n".join(",".join(_fmt(v) for v in row) for row in mat.entries) + "\n"
-    _write_text(args.out, csv)
+    _write_text(args.out, _table(mat.entries))
     return 0
 
 
@@ -238,30 +229,31 @@ def _cmd_interp(args) -> int:
     ys = np.broadcast_to(ys, (basis.size,)).copy()
     interp = interpolate_1d(basis, ys)
     if args.out:
-        _write_text(args.out, json.dumps(interpolant_to_json(interp), indent=2))
+        save_interpolant(interp, args.out)
     if args.samples:
         a, b = basis.nodes.domain
         end = b if math.isfinite(b) else basis.nodes.nodes[-1]
         xs = np.linspace(a, end, args.samples)
         us = eval_interpolant(interp, xs)
-        lines = ["x,u"] + [f"{_fmt(x)},{_fmt(u)}" for x, u in zip(xs, us)]
-        _write_text(args.samples_out, "\n".join(lines) + "\n")
+        _write_text(args.samples_out, "x,u\n" + _table(np.column_stack([xs, us])))
     if args.out:
         print(json.dumps({"size": basis.size, "out": args.out}))
     elif not args.samples:
-        _write_text(None, json.dumps(interpolant_to_json(interp), indent=2))
+        print(json.dumps(interpolant_to_json(interp)))
     return 0
 
 
-def _sampled_rows(bases, coeffs_grid) -> list:
-    dim = len(bases)
-    header = ",".join([f"x{i+1}" for i in range(dim)] if dim > 1 else ["x"]) + ",u"
-    lines = [header]
-    node_arrays = [b.nodes.nodes for b in bases]
-    for idx in np.ndindex(*coeffs_grid.shape):
-        coords = [node_arrays[d][idx[d]] for d in range(dim)]
-        lines.append(",".join(_fmt(c) for c in coords) + "," + _fmt(coeffs_grid[idx]))
-    return lines
+def _samples_csv(axes, grid) -> str:
+    """``x1,...,xp,u`` rows on the tensor grid of ``axes``, last index fastest.
+
+    Each node is formatted once per axis and every grid value once; the
+    coordinate prefixes, which hold no ``%``, become the format string.
+    """
+    dim = len(axes)
+    header = (",".join(f"x{d + 1}" for d in range(dim)) if dim > 1 else "x") + ",u\n"
+    prefixes = [["%.16e," % x for x in axis.tolist()] for axis in axes]
+    line = "%.16e\n".join(map("".join, itertools.product(*prefixes))) + "%.16e\n"
+    return header + line % tuple(grid.ravel().tolist())
 
 
 def _cmd_solve(args) -> int:
@@ -276,12 +268,9 @@ def _cmd_solve(args) -> int:
         options.max_iterations = args.max_iter
     result = solve_system(system, options)
 
-    roles = {}
-    for role in system.row_roles:
-        roles[role] = roles.get(role, 0) + 1
     report = {
         "size": system.size,
-        "rows": roles,
+        "rows": dict(collections.Counter(system.row_roles)),
         "linear": result.linear,
         "route": result.route,
         "iterations": result.iterations,
@@ -292,12 +281,11 @@ def _cmd_solve(args) -> int:
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "solution.json"), "w") as fh:
-            json.dump(interpolant_to_json(result.interpolant), fh, indent=2)
-        rows = _sampled_rows(bases, result.interpolant.grid_values())
-        _write_text(os.path.join(args.out, "samples.csv"), "\n".join(rows) + "\n")
-        with open(os.path.join(args.out, "residual_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+        save_interpolant(result.interpolant, os.path.join(args.out, "solution.json"))
+        csv = _samples_csv([b.nodes.nodes for b in bases], result.interpolant.coeffs)
+        _write_text(os.path.join(args.out, "samples.csv"), csv)
+        report_text = json.dumps(report, indent=2) + "\n"
+        _write_text(os.path.join(args.out, "residual_report.json"), report_text)
     print(json.dumps(report))
     return 0
 
@@ -344,7 +332,7 @@ def _cmd_converge(args) -> int:
         t2 = time.perf_counter()
         err = _max_error_vs_exact(cfg, bases, result)
         lines.append(
-            f"{n},{_fmt(err)},{(t1 - t0) * 1e3:.3f},{(t2 - t1) * 1e3:.3f}"
+            f"{n},{err:.16e},{(t1 - t0) * 1e3:.3f},{(t2 - t1) * 1e3:.3f}"
         )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -369,21 +357,17 @@ def _cmd_contour_check(args) -> int:
     a, b = basis.nodes.domain
     end = b if math.isfinite(b) else basis.nodes.nodes[-1]
     xs = np.linspace(a, end, args.points)
-    lines = ["x,direct_uN,contour_uN,direct_err,contour_err,abs_discrepancy"]
-    for x in xs:
-        x = float(x)
+    table = np.empty((xs.size, 6))
+    for i, x in enumerate(xs.tolist()):
         direct = eval_interpolant(interp, x)
         panel = _panel(basis, u, x, contour)
         ci = contour_interpolant(basis, u, x, contour, panel=panel)
         ce = contour_error(basis, u, x, contour, panel=panel)
         direct_err = direct - float(np.real(u_fn(x)))
         disc = max(abs(ci - direct), abs(ce - direct_err))
-        lines.append(
-            ",".join(
-                _fmt(v) for v in (x, direct, ci.real, direct_err, ce.real, disc)
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+        table[i] = (x, direct, ci.real, direct_err, ce.real, disc)
+    header = "x,direct_uN,contour_uN,direct_err,contour_err,abs_discrepancy\n"
+    _write_text(args.out, header + _table(table))
     return 0
 
 

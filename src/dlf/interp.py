@@ -194,9 +194,9 @@ def interpolant_from_json(data: dict):
 
 
 def save_interpolant(itp, path) -> None:
+    """Write ``itp`` as one line of compact JSON (``json``'s C encoder) and a newline."""
     with open(path, "w") as fh:
-        json.dump(interpolant_to_json(itp), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(interpolant_to_json(itp)) + "\n")
 
 
 def load_interpolant(path):

@@ -436,6 +436,63 @@ def test_complex_evaluation_skips_domain_check():
     basis = build_basis("identity", n=4, a=0.0, b=1.0)
     w = weight_eval(basis, 0.5 + 2.0j)
     assert np.iscomplexobj(w) and np.isfinite(w)
+    ws = weight_eval(basis, np.array([5.0 + 0.0j, -3.0 + 1.0j]))
+    assert ws.shape == (2,) and np.all(np.isfinite(ws))
+
+
+# every real-point entry point; the array form of each wraps the point in a 1-d array
+DOMAIN_CHECKED = [
+    ("lagrange_values", lambda b, x: lagrange_values(b, x)),
+    ("lagrange_matrix", lambda b, x: lagrange_matrix(b, np.array([0.5, x]))),
+    ("weight_eval", lambda b, x: weight_eval(b, x)),
+    ("weight_eval-array", lambda b, x: weight_eval(b, np.array([x, 0.5]))),
+    ("dlf_eval", lambda b, x: dlf_eval(b, 1, x)),
+]
+
+
+class TestDomainCheck:
+    """``_check_point``: 1e-12 relative slack, NaN rejected, complex exempt."""
+
+    @pytest.mark.parametrize("name,call", DOMAIN_CHECKED, ids=[c[0] for c in DOMAIN_CHECKED])
+    def test_slack_is_1e_12_of_the_domain_scale(self, name, call):
+        basis = build_basis("identity", n=4, a=-3.0, b=2.0)  # slack 3e-12
+        for x in (-3.0 - 2.9e-12, 2.0 + 2.9e-12, np.float64(2.0), 1):
+            call(basis, x)
+        for x in (-3.0 - 3.1e-12, 2.0 + 3.1e-12, np.float64(-4.0)):
+            with pytest.raises(DomainError):
+                call(basis, x)
+
+    @pytest.mark.parametrize("name,call", DOMAIN_CHECKED, ids=[c[0] for c in DOMAIN_CHECKED])
+    def test_nan_is_outside(self, name, call):
+        basis = build_basis("identity", n=4, a=0.0, b=1.0)
+        for x in (float("nan"), np.float64("nan")):
+            with pytest.raises(DomainError):
+                call(basis, x)
+
+    def test_nan_inside_an_array_is_outside(self):
+        basis = build_basis("identity", n=4, a=0.0, b=1.0)
+        for xs in ([np.nan, 0.5, 0.7], [0.2, np.nan, 0.7], [0.2, 0.5, np.nan]):
+            with pytest.raises(DomainError):
+                lagrange_matrix(basis, np.array(xs))
+
+    def test_message_names_the_point_and_domain(self):
+        basis = build_basis("identity", n=4, a=0.0, b=1.0)
+        with pytest.raises(DomainError, match=r"^point 1\.5 outside domain \[0\.0, 1\.0\]$"):
+            lagrange_values(basis, 1.5)
+        with pytest.raises(DomainError, match=r"^point \[0\.5 2\. \] outside domain"):
+            lagrange_matrix(basis, np.array([0.5, 2.0]))
+
+    def test_semi_infinite_domain(self):
+        nodes = NodeSet(np.array([0.0, 0.5, 1.5, 4.0, 9.0]), (0.0, float("inf")))
+        basis = validate_basis(make_psi_family("rational", {"L": 1.0}, size=5), nodes)
+        assert nodes.bounds == (-1e-12 * 9.0, float("inf"))
+        lagrange_values(basis, 1e6)
+        lagrange_matrix(basis, np.array([0.0, 50.0, 1e12]))
+        for bad in (-1e-3, float("nan")):
+            with pytest.raises(DomainError):
+                lagrange_values(basis, bad)
+        with pytest.raises(DomainError):
+            lagrange_matrix(basis, np.array([1.0, -1.0]))
 
 
 def test_basis_index_bounds():

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from dlf.cli import _build_parser, main
+from dlf.cli import _build_parser, _samples_csv, main
 from dlf.interp import eval_interpolant, load_interpolant
-from dlf.solver import solve_config
+from dlf.solver import load_config, solve_config
 
 SINE_CFG = "configs/sine_bvp.json"
 RICCATI_CFG = "configs/riccati_ivp.json"
@@ -32,6 +32,77 @@ def stderr_json(err: str) -> dict:
     lines = [ln for ln in err.strip().splitlines() if ln]
     assert len(lines) == 1, f"expected one stderr line, got {err!r}"
     return json.loads(lines[0])
+
+
+def reference_csv(header, rows) -> str:
+    """The per-value CSV formatter the ``dlf`` tables must match byte for byte."""
+    lines = [header] if header is not None else []
+    lines += [",".join(f"{float(v):.16e}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reparsed_csv(text: str) -> str:
+    """``text`` with every value read back and reformatted by :func:`reference_csv`."""
+    header, *lines = text.splitlines()
+    return reference_csv(header, [[float(v) for v in ln.split(",")] for ln in lines])
+
+
+# values whose text is easy to get wrong: signed zero, subnormal, huge, non-finite
+AWKWARD = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-310, float("nan"), float("inf")]
+
+
+class TestCsvBytes:
+    """Every CSV table matches the per-value ``f"{v:.16e}"`` formatter byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(9,), (7, 10), (3, 4, 5)])
+    def test_samples_csv(self, shape, rng):
+        axes = [np.sort(rng.normal(size=n)) for n in shape]
+        axes[0][:2] = (-0.0, 5e-324)
+        grid = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        grid.flat[: len(AWKWARD)] = AWKWARD
+        dim = len(shape)
+        header = ",".join([f"x{d + 1}" for d in range(dim)] if dim > 1 else ["x"]) + ",u"
+        rows = [[axes[d][idx[d]] for d in range(dim)] + [grid[idx]] for idx in np.ndindex(*shape)]
+        assert _samples_csv(axes, grid) == reference_csv(header, rows)
+        assert _samples_csv(axes, grid.ravel()) == reference_csv(header, rows)
+
+    def test_interp_samples(self, capsys, tmp_path):
+        target = tmp_path / "samples.csv"
+        run_cli(capsys, "interp", "--expr", "sin(pi*x) - 0.5", "--N", "10", "--samples", "33",
+                "--samples-out", str(target), "--out", str(tmp_path / "itp.json"))
+        itp = load_interpolant(tmp_path / "itp.json")
+        xs = np.linspace(-1.0, 1.0, 33)
+        expected = reference_csv("x,u", zip(xs, eval_interpolant(itp, xs)))
+        assert target.read_bytes() == expected.encode()
+
+    def test_diffmat(self, capsys):
+        from dlf.diffmat import dm_matrix
+        from conftest import build_basis
+
+        _, out, _ = run_cli(capsys, "diffmat", "--N", "9", "--order", "2", "--domain", "0,3")
+        expected = reference_csv(None, dm_matrix(build_basis(n=9, a=0.0, b=3.0), 2).entries)
+        assert out == expected
+
+    def test_basis_out(self, capsys, tmp_path):
+        from conftest import build_basis
+
+        target = tmp_path / "basis.csv"
+        run_cli(capsys, "basis", "--N", "12", "--family", "exponential",
+                "--params", '{"rates": 0.5}', "--domain", "0,1", "--out", str(target))
+        b = build_basis("exponential", {"rates": 0.5}, n=12, a=0.0, b=1.0)
+        lines = ["j,x_j,mu_j,wprime_j,wsecond_j"] + [
+            f"{j}," + ",".join(f"{float(v):.16e}" for v in row)
+            for j, row in enumerate(
+                zip(b.nodes.nodes, b.mu, b.wprime_at_nodes, b.wsecond_at_nodes)
+            )
+        ]
+        assert target.read_text() == "\n".join(lines) + "\n"
+
+    def test_contour_check(self, capsys):
+        _, out, _ = run_cli(capsys, "contour-check", "--N", "6", "--points", "7",
+                            "--panels", "64")
+        assert len(out.splitlines()) == 8
+        assert out == reparsed_csv(out)
 
 
 class TestDispatch:
@@ -194,12 +265,15 @@ class TestDiffmatCommand:
 
 
 class TestInterpCommand:
-    def test_json_to_stdout(self, capsys):
+    def test_json_to_stdout(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "interp", "--expr", "sin(pi*x)", "--N", "6")
         assert code == 0
         blob = json.loads(out)
         assert blob["kind"] == "interpolant"
         assert len(blob["coeffs"]) == 7
+        target = tmp_path / "itp.json"
+        run_cli(capsys, "interp", "--expr", "sin(pi*x)", "--N", "6", "--out", str(target))
+        assert target.read_text() == out
 
     def test_samples_csv(self, capsys, tmp_path):
         target = tmp_path / "samples.csv"
@@ -319,11 +393,33 @@ class TestSolveCommand:
         assert report["size"] == 17
 
     def test_artifacts_are_deterministic(self, capsys, tmp_path):
-        d1, d2 = tmp_path / "r1", tmp_path / "r2"
-        run_cli(capsys, "solve", "--config", SINE_CFG, "--out", str(d1))
-        run_cli(capsys, "solve", "--config", SINE_CFG, "--out", str(d2))
-        for name in ("solution.json", "samples.csv", "residual_report.json"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        for i, cfg in enumerate((SINE_CFG, POISSON_CFG)):
+            d1, d2 = tmp_path / f"c{i}" / "r1", tmp_path / f"c{i}" / "r2"
+            run_cli(capsys, "solve", "--config", cfg, "--out", str(d1))
+            run_cli(capsys, "solve", "--config", cfg, "--out", str(d2))
+            for name in ("solution.json", "samples.csv", "residual_report.json"):
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("cfg", [SINE_CFG, POISSON_CFG])
+    def test_solution_json_round_trips_bit_exactly(self, capsys, tmp_path, cfg):
+        code, _, _ = run_cli(capsys, "solve", "--config", cfg, "--out", str(tmp_path))
+        assert code == 0
+        back = load_interpolant(tmp_path / "solution.json")
+        coeffs = solve_config(load_config(cfg)).interpolant.coeffs
+        assert back.coeffs.tobytes() == coeffs.tobytes()
+
+    def test_every_artifact_ends_in_one_newline(self, capsys, tmp_path):
+        run_cli(capsys, "solve", "--config", POISSON_CFG, "--out", str(tmp_path / "run"))
+        run_cli(capsys, "interp", "--expr", "exp(x)", "--N", "6", "--samples", "5",
+                "--samples-out", str(tmp_path / "s.csv"), "--out", str(tmp_path / "i.json"))
+        paths = sorted((tmp_path / "run").iterdir()) + [tmp_path / "s.csv", tmp_path / "i.json"]
+        assert len(paths) == 5
+        for path in paths:
+            text = path.read_text()
+            assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+        # interpolant JSON is compact: one line
+        for path in (tmp_path / "run" / "solution.json", tmp_path / "i.json"):
+            assert path.read_text().count("\n") == 1
 
     def test_nonlinear_reporting(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--config", RICCATI_CFG)
