@@ -38,7 +38,6 @@ from .contour import (
 )
 from .diffmat import (
     DiffMatrix,
-    build_pstack,
     d1_matrix,
     dm_matrix,
     dm_oracle_fd,
@@ -111,7 +110,6 @@ __all__ = [
     "UnsupportedKindError",
     "assemble_collocation_1d",
     "assemble_collocation_nd",
-    "build_pstack",
     "classical_contour_error",
     "classical_contour_interpolant",
     "contour_error",

@@ -462,7 +462,6 @@ class DlfBasis:
     mu: np.ndarray
     wprime_at_nodes: np.ndarray
     wsecond_at_nodes: np.ndarray
-    tau_sep: float
     # internal caches
     _psi_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j)
     _dpsi_tab: np.ndarray = field(repr=False, default=None)  # psi_i'(x_j)
@@ -559,7 +558,6 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
         mu=mu,
         wprime_at_nodes=wprime,
         wsecond_at_nodes=wsecond,
-        tau_sep=tau_sep,
         _psi_tab=psi_tab,
         _dpsi_tab=dpsi_tab,
         _f_tab=f_tab,

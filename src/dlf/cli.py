@@ -42,12 +42,7 @@ from .contour import (
     contour_error,
     contour_interpolant,
 )
-from .diffmat import (
-    d1_matrix,
-    dm_matrix,
-    dm_oracle_fd,
-    dm_power_classical,
-)
+from .diffmat import dm_matrix, dm_oracle_fd, dm_power_classical
 from .errors import DlfError
 from .interp import (
     eval_interpolant,
@@ -201,21 +196,14 @@ def _cmd_basis(args) -> int:
 def _cmd_diffmat(args) -> int:
     basis = _basis_from_flags(args)
     m = args.order
-    route = args.route
-    if route == "auto":
-        route = "closed-form" if m == 1 else "recurrence"
-    if route == "closed-form":
-        if m != 1:
-            raise UsageError("--route closed-form only provides order 1")
-        mat = d1_matrix(basis)
-    elif route == "recurrence":
-        mat = dm_matrix(basis, m)
-    elif route == "power":
+    if args.route == "power":
         mat = dm_power_classical(basis, m)
-    elif route == "oracle":
+    elif args.route == "oracle":
         mat = dm_oracle_fd(basis, m, step=args.fd_step)
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown route {route!r}")
+    else:  # auto, closed-form, recurrence: dm_matrix is the closed form at order 1
+        if args.route == "closed-form" and m != 1:
+            raise UsageError("--route closed-form only provides order 1")
+        mat = dm_matrix(basis, m)
     _write_text(args.out, _table(mat.entries))
     return 0
 

@@ -30,20 +30,17 @@ import numpy as np
 from .basis import DlfBasis, _cardinals, _terms
 from .errors import (
     DerivativeOrderError,
-    DegenerateDerivativeError,
     FdStepError,
     InvalidParameterError,
 )
 
 __all__ = [
     "DiffMatrix",
-    "PStack",
     "PROVENANCES",
     "d1_matrix",
     "dm_matrix",
     "dm_power_classical",
     "dm_oracle_fd",
-    "build_pstack",
     "matrix_to_csv",
     "matrix_from_csv",
 ]
@@ -81,43 +78,6 @@ class DiffMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(eq=False)
-class PStack:
-    """Diagonals of own-node map derivatives feeding the recurrence.
-
-    ``diagonals[k][i] = psi_i^(k+1)(x_i)`` for ``k = 0..depth-1``; the
-    ``k = 0`` diagonal is the slope matrix ``P`` whose inverse appears on
-    the right of every recurrence step.
-    """
-
-    diagonals: list
-    pinv: np.ndarray
-
-    @property
-    def depth(self) -> int:
-        return len(self.diagonals)
-
-
-def build_pstack(basis: DlfBasis, depth: int) -> PStack:
-    """Own-node derivative diagonals up to ``psi_i^(depth)(x_i)``."""
-    if depth < 1:
-        raise InvalidParameterError(f"stack depth must be >= 1, got {depth}")
-    if depth > basis.psi.max_derivative_order:
-        raise DerivativeOrderError(
-            f"stack depth {depth} needs map derivatives beyond closed-form "
-            f"limit {basis.psi.max_derivative_order}"
-        )
-    xs = basis.nodes.nodes
-    diagonals = [basis._dpsi_own.copy()]
-    for k in range(1, depth):
-        diagonals.append(np.diag(basis.psi.values_at(xs, order=k + 1)).copy())
-    slope = diagonals[0]
-    if np.any(np.abs(slope) <= basis.tau_sep):
-        i = int(np.argmax(np.abs(slope) <= basis.tau_sep))
-        raise DegenerateDerivativeError(i, float(slope[i]), basis.tau_sep)
-    return PStack(diagonals=diagonals, pinv=1.0 / slope)
 
 
 def d1_matrix(basis: DlfBasis) -> DiffMatrix:
@@ -159,14 +119,16 @@ def dm_matrix(basis: DlfBasis, m: int) -> DiffMatrix:
             f"order {m} exceeds the map's closed-form derivative limit "
             f"{basis.psi.max_derivative_order}"
         )
-    stack = build_pstack(basis, m)
+    xs = basis.nodes.nodes
+    # p[k][i] = psi_i^(k+1)(x_i); validate_basis keeps the slope p[0] away from 0
+    p = [basis._dpsi_own] + [np.diag(basis.psi.values_at(xs, order=k + 1)) for k in range(1, m)]
     size = basis.size
-    pinv_d1 = stack.pinv[:, None] * d1.entries
+    pinv_d1 = (1.0 / p[0])[:, None] * d1.entries
     mats = [np.eye(size), d1.entries]
     for mm in range(2, m + 1):
         acc = np.zeros((size, size))
         for k in range(mm):
-            acc += math.comb(mm - 1, k) * stack.diagonals[k][:, None] * mats[mm - 1 - k]
+            acc += math.comb(mm - 1, k) * p[k][:, None] * mats[mm - 1 - k]
         mats.append(acc @ pinv_d1)
     return DiffMatrix(order=m, entries=mats[m], provenance="recurrence")
 

@@ -104,8 +104,9 @@ class CollocationProblem:
     ``conditions`` entries are dicts ``{"face": "a1" | "b1" | ..., "order":
     k, "expr": text}``; the expression gives the condition value and may
     reference the coordinates of the other dimensions (a constant for 1-d
-    problems).  ``linear=None`` means the solver decides from the
-    residual's partial derivatives in the ``u``-symbols.
+    problems).  Whether the problem is linear is not an input: assembly
+    decides it from the residual's partial derivatives in the ``u``-symbols
+    (see :func:`detect_linear`).
     """
 
     dim: int
@@ -115,7 +116,6 @@ class CollocationProblem:
     residual: str
     rhs: str
     conditions: list
-    linear: bool | None = None
     # parsed trees, filled in __post_init__
     _residual_tree: object = field(default=None, init=False, repr=False)
     _rhs_tree: object = field(default=None, init=False, repr=False)
@@ -420,7 +420,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
         bases=bases,
         size=int(np.prod(shape)),
         row_roles=roles,
-        is_linear=problem.linear if problem.linear is not None else detect_linear(problem),
+        is_linear=detect_linear(problem),
         _shape=shape,
         _derivs=derivs,
         _interior=interior,
@@ -448,10 +448,22 @@ def assemble_collocation_1d(problem: CollocationProblem, basis: DlfBasis) -> Col
 
 @dataclass
 class SolveOptions:
+    """Settings of the damped Newton iteration for nonlinear systems.
+
+    Newton starts from ``initial_guess`` (zeros when ``None``), stops once the
+    max-norm of the residual is at most ``tol`` (finite and > 0) and fails
+    after ``max_iterations`` steps (an integer >= 0).  Each step takes the
+    first of the fixed step lengths 1, 1/2, ..., 1/128 that reduces the
+    residual.  Linear systems are solved directly; the values are still checked.
+    """
+
     tol: float = 1e-12
     max_iterations: int = 50
     initial_guess: np.ndarray | None = None
-    max_damping: int = 8
+
+
+# damped Newton step lengths, tried in order: 1, 1/2, ..., 1/128
+_STEP_LENGTHS = tuple(0.5**k for k in range(8))
 
 
 @dataclass(eq=False)
@@ -562,6 +574,16 @@ def _solve_diagonalised(system: CollocationSystem, blocks: list):
     return u, res_norm, float(np.prod(kappa)) * hi / lo
 
 
+def _lu_solve(mat: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """``mat^-1 rhs`` by LU; an exactly singular ``mat`` raises :class:`SingularSystemError`."""
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(
+            f"{what} is singular", cond_estimate=float(np.linalg.cond(mat))
+        ) from None
+
+
 def _solve_dense(system: CollocationSystem):
     """One LU solve of the exact Jacobian; ``(u, residual_norm, cond)``."""
     m = system.size
@@ -572,12 +594,7 @@ def _solve_dense(system: CollocationSystem):
         raise SingularSystemError(
             "collocation matrix is numerically singular", cond_estimate=cond
         )
-    try:
-        u = np.linalg.solve(mat, -base)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            "collocation matrix is singular", cond_estimate=cond
-        ) from None
+    u = _lu_solve(mat, -base, "collocation matrix")
     return u, float(np.max(np.abs(system.evaluate_residual(u)))), cond
 
 
@@ -590,8 +607,12 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
     Nonlinear systems run damped Newton on the exact Jacobian.
     """
     opts = options or SolveOptions()
-    if opts.max_damping < 1:
-        raise InvalidParameterError(f"max_damping must be >= 1, got {opts.max_damping}")
+    if not (isinstance(opts.tol, numbers.Real) and 0 < opts.tol < np.inf):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {opts.tol!r}")
+    if not (_is_int(opts.max_iterations) and opts.max_iterations >= 0):
+        raise InvalidParameterError(
+            f"max_iterations must be an integer >= 0, got {opts.max_iterations!r}"
+        )
     m = system.size
     if opts.initial_guess is not None:
         guess = np.asarray(opts.initial_guess, dtype=float)
@@ -618,46 +639,30 @@ def solve_system(system: CollocationSystem, options: SolveOptions | None = None)
     u = guess
     res = system.evaluate_residual(u)
     norm = float(np.max(np.abs(res)))
-    for it in range(1, opts.max_iterations + 1):
-        if norm <= opts.tol:
-            return SolveResult(
-                interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
-                iterations=it - 1,
-                residual_norm=norm,
-                linear=False,
+    it = 0
+    while not norm <= opts.tol:  # a NaN residual never counts as converged
+        if it == opts.max_iterations:
+            raise NewtonError(
+                "damped Newton did not reach the tolerance", residual_norm=norm, iterations=it
             )
-        jac = system.evaluate_jacobian(u)
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(
-                "Newton Jacobian is singular",
-                cond_estimate=float(np.linalg.cond(jac)),
-            ) from None
-        lam = 1.0
-        for _ in range(opts.max_damping):
+        it += 1
+        delta = _lu_solve(system.evaluate_jacobian(u), -res, "Newton Jacobian")
+        for lam in _STEP_LENGTHS:
             trial = u + lam * delta
             trial_res = system.evaluate_residual(trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if trial_norm < norm:
                 break
-            lam *= 0.5
         else:
             raise NewtonError(
                 "no damped Newton step reduced the residual", residual_norm=norm, iterations=it
             )
         u, res, norm = trial, trial_res, trial_norm
-    if norm <= opts.tol:
-        return SolveResult(
-            interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
-            iterations=opts.max_iterations,
-            residual_norm=norm,
-            linear=False,
-        )
-    raise NewtonError(
-        "damped Newton did not reach the tolerance",
+    return SolveResult(
+        interpolant=TensorInterpolant(bases=system.bases, coeffs=u),
+        iterations=it,
         residual_norm=norm,
-        iterations=opts.max_iterations,
+        linear=False,
     )
 
 
@@ -727,7 +732,6 @@ def problem_from_config(cfg: dict) -> CollocationProblem:
         residual=cfg["residual"],
         rhs=cfg.get("rhs", "0"),
         conditions=cfg.get("conditions", []),
-        linear=cfg.get("linear"),
     )
 
 

@@ -428,6 +428,25 @@ class TestSolveCommand:
         assert report["linear"] is False
         assert report["iterations"] >= 1
 
+    def test_linear_key_is_not_read(self, capsys, tmp_path):
+        cfg = dict(json.load(open(RICCATI_CFG)), linear=True)
+        path = tmp_path / "riccati_linear.json"
+        path.write_text(json.dumps(cfg))
+        outdir = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--out", str(outdir))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["linear"], report["iterations"]) == (False, 7)
+        itp = load_interpolant(outdir / "solution.json")
+        xs = np.linspace(0.0, 0.5, 201)
+        assert np.max(np.abs(eval_interpolant(itp, xs) - 1.0 / (1.0 - xs))) < 1e-8
+
+    @pytest.mark.parametrize("flags", [("--max-iter", "-1"), ("--tol", "nan"), ("--tol", "-1")])
+    def test_bad_newton_settings_fail(self, capsys, flags):
+        code, out, err = run_cli(capsys, "solve", "--config", RICCATI_CFG, *flags)
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "invalid-parameter"
+
     def test_newton_budget_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--config", RICCATI_CFG, "--max-iter", "1"

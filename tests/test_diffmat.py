@@ -16,7 +16,6 @@ from dlf.basis import NodeSet, make_psi_family, validate_basis
 from dlf.diffmat import (
     DiffMatrix,
     PROVENANCES,
-    build_pstack,
     d1_matrix,
     dm_matrix,
     dm_oracle_fd,
@@ -166,14 +165,7 @@ def test_oracle_supported_orders():
         dm_oracle_fd(basis, 4)
 
 
-# -- P stack and derivative-order limits ----------------------------------
-
-
-def test_pstack_identity_diagonals():
-    stack = build_pstack(build_basis("identity", n=4), depth=2)
-    np.testing.assert_array_equal(stack.diagonals[0], np.ones(5))
-    np.testing.assert_array_equal(stack.diagonals[1], np.zeros(5))
-    np.testing.assert_array_equal(stack.pinv, np.ones(5))
+# -- derivative-order limits ---------------------------------------------
 
 
 def test_generalized_map_order_cap():

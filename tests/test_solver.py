@@ -210,14 +210,6 @@ class TestLinearityDetection:
         assert result.linear is True
         assert result.residual_norm < 1e-8
 
-    def test_explicit_override_wins(self):
-        prob = bvp_problem(linear=False)
-        system = assemble_collocation_1d(prob, build_basis("identity", n=6, a=0.0, b=1.0))
-        assert system.is_linear is False
-        result = solve_system(system, SolveOptions(tol=1e-10))
-        assert result.linear is False
-        assert result.iterations >= 1
-
 
 class TestRowBookkeeping:
     def test_1d_counts(self):
@@ -620,22 +612,34 @@ class TestNewtonSolves:
         assert exc.value.residual_norm > 0
 
     def test_step_that_does_not_reduce_the_residual_raises(self):
-        # Newton on tanh(u) = 0 from 2 overshoots to about -11.6
+        # u^2 + 1 = 0 has no real root; from 1e-3 the Newton step lands near
+        # -500 and no step length down to 1/128 gets below 1 + 1e-6
         prob = bvp_problem(
-            residual="tanh(u)", rhs="0", orders=[0], splits=[(0, 0)], conditions=[]
+            residual="u^2 + 1", rhs="0", orders=[0], splits=[(0, 0)], conditions=[]
         )
         system = assemble_collocation_1d(prob, build_basis("identity", n=4, a=0.0, b=1.0))
-        opts = SolveOptions(initial_guess=2.0 * np.ones(system.size), max_damping=1)
+        opts = SolveOptions(initial_guess=1e-3 * np.ones(system.size))
         with pytest.raises(NewtonError) as exc:
             solve_system(system, opts)
         assert exc.value.iterations == 1
-        assert exc.value.residual_norm == pytest.approx(np.tanh(2.0))
+        assert exc.value.residual_norm == pytest.approx(1.000001)
 
-    def test_max_damping_must_be_positive(self):
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"max_iterations": -1},
+            {"max_iterations": 2.5},
+        ],
+    )
+    def test_newton_settings_are_validated(self, settings):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
         system = assemble_collocation_1d(self.riccati(), basis)
         with pytest.raises(InvalidParameterError):
-            solve_system(system, SolveOptions(max_damping=0))
+            solve_system(system, SolveOptions(**settings))
 
     def test_initial_guess_shape_checked(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
@@ -783,6 +787,16 @@ class TestConfigs:
         cfg["N"] = 4
         with pytest.raises(InvalidParameterError, match="node values"):
             bases_from_config(cfg)
+
+    def test_linear_key_is_not_read(self):
+        # linearity comes from the residual, so "linear": true on the
+        # nonlinear Riccati residual still runs damped Newton
+        cfg = dict(load_config("configs/riccati_ivp.json"), linear=True)
+        result = solve_config(cfg)
+        assert (result.linear, result.iterations) == (False, 7)
+        xs = np.linspace(0.0, 0.5, 201)
+        err = np.max(np.abs(eval_interpolant(result.interpolant, xs) - 1.0 / (1.0 - xs)))
+        assert err < 1e-8
 
     def test_riccati_config_round_trip(self):
         cfg = load_config("configs/riccati_ivp.json")
