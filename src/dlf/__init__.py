@@ -74,7 +74,6 @@ from .solver import (
     CollocationSystem,
     SolveOptions,
     SolveResult,
-    assemble_collocation_1d,
     assemble_collocation_nd,
     solve_config,
     solve_system,
@@ -108,7 +107,6 @@ __all__ = [
     "SolveResult",
     "TensorInterpolant",
     "UnsupportedKindError",
-    "assemble_collocation_1d",
     "assemble_collocation_nd",
     "classical_contour_error",
     "classical_contour_interpolant",

@@ -120,8 +120,11 @@ def dm_matrix(basis: DlfBasis, m: int) -> DiffMatrix:
             f"{basis.psi.max_derivative_order}"
         )
     xs = basis.nodes.nodes
-    # p[k][i] = psi_i^(k+1)(x_i); validate_basis keeps the slope p[0] away from 0
-    p = [basis._dpsi_own] + [np.diag(basis.psi.values_at(xs, order=k + 1)) for k in range(1, m)]
+    # p[k][i] = psi_i^(k+1)(x_i); validate_basis caches the first two and keeps
+    # the slope p[0] away from 0
+    p = [basis._dpsi_own, basis._d2psi_own] + [
+        np.diag(basis.psi.values_at(xs, order=k + 1)) for k in range(2, m)
+    ]
     size = basis.size
     pinv_d1 = (1.0 / p[0])[:, None] * d1.entries
     mats = [np.eye(size), d1.entries]

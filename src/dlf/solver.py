@@ -1,9 +1,11 @@
 """Collocation assembly and solution for differential problems.
 
 A problem couples a residual expression (the differential operator applied
-to ``u``), a right-hand side, and endpoint conditions per dimension.  On a
-tensor grid of ``prod (N_i + 1)`` unknown nodal values the assembled system
-has exactly that many equations:
+to ``u``), a right-hand side, and endpoint conditions per dimension.  The
+conditions fix the problem's shape: dimension ``d`` has ``v1`` conditions
+on its face ``a`` and ``v2`` on its face ``b``, and the equation there is of
+order ``v1 + v2``.  On a tensor grid of ``prod (N_i + 1)`` unknown nodal
+values the assembled system has exactly that many equations:
 
 - interior rows: operator minus right-hand side at the grid of interior
   collocation nodes (per dimension, the ``v1`` leading and ``v2`` trailing
@@ -34,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from . import exprlang
-from .basis import DlfBasis, NodeSet, generate_nodes, make_psi_family, validate_basis
+from .basis import NodeSet, generate_nodes, make_psi_family, validate_basis
 from .diffmat import dm_matrix
 from .errors import (
     AssemblyError,
@@ -50,7 +52,6 @@ __all__ = [
     "CollocationSystem",
     "SolveOptions",
     "SolveResult",
-    "assemble_collocation_1d",
     "assemble_collocation_nd",
     "solve_system",
     "problem_from_config",
@@ -104,47 +105,52 @@ class CollocationProblem:
     ``conditions`` entries are dicts ``{"face": "a1" | "b1" | ..., "order":
     k, "expr": text}``; the expression gives the condition value and may
     reference the coordinates of the other dimensions (a constant for 1-d
-    problems).  Whether the problem is linear is not an input: assembly
-    decides it from the residual's partial derivatives in the ``u``-symbols
-    (see :func:`detect_linear`).
+    problems).  The problem's shape is counted, not declared: ``dim`` is the
+    number of domains, ``splits[d]`` the numbers ``(v1, v2)`` of conditions
+    on faces ``a`` and ``b`` of dimension ``d``, and ``orders[d] = v1 + v2``
+    the equation order there.  Whether the problem is linear is not an input
+    either: assembly decides it from the residual's partial derivatives in
+    the ``u``-symbols (see :func:`detect_linear`).
     """
 
-    dim: int
     domains: list
-    orders: list
-    splits: list
     residual: str
     rhs: str
     conditions: list
+    # counted from domains and conditions in __post_init__
+    dim: int = field(init=False)
+    orders: list = field(init=False)
+    splits: list = field(init=False)
     # parsed trees, filled in __post_init__
     _residual_tree: object = field(default=None, init=False, repr=False)
     _rhs_tree: object = field(default=None, init=False, repr=False)
-    _condition_specs: list = field(default=None, init=False, repr=False)
+    # {(d, side): [(order, tree)] sorted by order} for every face
+    _faces: dict = field(default=None, init=False, repr=False)
     # [(symbol, orders, dR/dsymbol)] for every u-symbol in the residual
     _partials: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        p = self.dim
+        p = self.dim = len(self.domains)
         if p < 1:
             raise InvalidParameterError(f"dimension must be >= 1, got {p}")
-        for name, seq in (("domains", self.domains), ("orders", self.orders), ("splits", self.splits)):
-            if len(seq) != p:
-                raise InvalidParameterError(
-                    f"{name} must have {p} entries, got {len(seq)}"
-                )
         self.domains = [(float(a), float(b)) for a, b in self.domains]
-        self.orders = [int(v) for v in self.orders]
-        self.splits = [(int(v1), int(v2)) for v1, v2 in self.splits]
-        for d, (v, (v1, v2)) in enumerate(zip(self.orders, self.splits)):
-            if v < 0 or v1 < 0 or v2 < 0 or v1 + v2 != v:
-                raise InvalidParameterError(
-                    f"dimension {d + 1}: split {v1}+{v2} must be nonnegative and sum "
-                    f"to the order {v}"
-                )
-            a, b = self.domains[d]
+        for d, (a, b) in enumerate(self.domains):
             if not a < b:
+                raise InvalidParameterError(f"dimension {d + 1}: domain [{a}, {b}] is empty")
+
+        self._faces = {(d, side): [] for d in range(p) for side in "ab"}
+        for cond in self.conditions:
+            d, side, order, tree = self._parse_condition(cond)
+            self._faces[d, side].append((order, tree))
+        self.splits = [(len(self._faces[d, "a"]), len(self._faces[d, "b"])) for d in range(p)]
+        self.orders = [v1 + v2 for v1, v2 in self.splits]
+        for (d, side), conds in self._faces.items():
+            conds.sort(key=lambda c: c[0])
+            ks = [k for k, _ in conds]
+            if len(set(ks)) != len(ks) or not all(0 <= k < self.orders[d] for k in ks):
                 raise InvalidParameterError(
-                    f"dimension {d + 1}: domain [{a}, {b}] is empty"
+                    f"dimension {d + 1} face {side!r}: condition orders {ks} must be "
+                    f"distinct and below the {self.orders[d]} conditions of the dimension"
                 )
 
         self._residual_tree = exprlang.parse_expr(self.residual)
@@ -163,8 +169,8 @@ class CollocationProblem:
             for d, k in enumerate(orders):
                 if not 0 <= k <= self.orders[d]:
                     raise InvalidParameterError(
-                        f"residual derivative {name!r} exceeds declared order "
-                        f"{self.orders[d]} in dimension {d + 1}"
+                        f"residual derivative {name!r} needs {k} conditions in "
+                        f"dimension {d + 1}, got {self.orders[d]}"
                     )
             try:
                 partial = exprlang.diff_expr(self._residual_tree, name)
@@ -178,28 +184,6 @@ class CollocationProblem:
             raise InvalidParameterError(
                 f"right-hand side may only reference coordinates, found {sorted(extra)}"
             )
-
-        self._condition_specs = [self._parse_condition(c) for c in self.conditions]
-        for d in range(p):
-            v1, v2 = self.splits[d]
-            for face, want in (("a", v1), ("b", v2)):
-                specs = [s for s in self._condition_specs if s[0] == d and s[1] == face]
-                ks = [s[2] for s in specs]
-                if len(specs) != want:
-                    raise InvalidParameterError(
-                        f"dimension {d + 1} face {face!r} needs {want} conditions, "
-                        f"got {len(specs)}"
-                    )
-                if len(set(ks)) != len(ks):
-                    raise InvalidParameterError(
-                        f"dimension {d + 1} face {face!r} repeats a derivative order"
-                    )
-                for k in ks:
-                    if not 0 <= k <= max(self.orders[d] - 1, 0):
-                        raise InvalidParameterError(
-                            f"condition order {k} invalid for equation order "
-                            f"{self.orders[d]} in dimension {d + 1}"
-                        )
 
     def _parse_condition(self, cond: dict):
         face = str(cond["face"])
@@ -328,22 +312,19 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
         raise AssemblyError(f"problem has {p} dimensions but {len(bases)} bases given")
     shape = tuple(b.size for b in bases)
     for d, b in enumerate(bases):
-        v = problem.orders[d]
-        if b.n < v:
+        v1, v2 = problem.splits[d]
+        if b.n < v1 + v2:
             raise AssemblyError(
-                f"dimension {d + 1}: N={b.n} is below the equation order {v}"
+                f"dimension {d + 1}: N={b.n} is below the equation order {v1 + v2}"
             )
         a_dom, b_dom = problem.domains[d]
         xs = b.nodes.nodes
-        v1, v2 = problem.splits[d]
-        has_a = any(s[0] == d and s[1] == "a" for s in problem._condition_specs)
-        has_b = any(s[0] == d and s[1] == "b" for s in problem._condition_specs)
-        if has_a and abs(xs[0] - a_dom) > _ENDPOINT_TOL * (1 + abs(a_dom)):
+        if v1 and abs(xs[0] - a_dom) > _ENDPOINT_TOL * (1 + abs(a_dom)):
             raise AssemblyError(
                 f"dimension {d + 1}: conditions at {a_dom} need it to be the first node "
                 f"(found {xs[0]})"
             )
-        if has_b and abs(xs[-1] - b_dom) > _ENDPOINT_TOL * (1 + abs(b_dom)):
+        if v2 and abs(xs[-1] - b_dom) > _ENDPOINT_TOL * (1 + abs(b_dom)):
             raise AssemblyError(
                 f"dimension {d + 1}: conditions at {b_dom} need it to be the last node "
                 f"(found {xs[-1]})"
@@ -356,6 +337,13 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
         if k == 0:
             return None
         if (d, k) not in dmat_cache:
+            psi = bases[d].psi
+            if k >= 2 and not psi.is_homogeneous:
+                # the recurrence is exact only when every index shares one map
+                raise AssemblyError(
+                    f"dimension {d + 1}: no exact order-{k} derivative matrix for the "
+                    f"heterogeneous {psi.kind!r} family (its maps differ by index)"
+                )
             dmat_cache[(d, k)] = dm_matrix(bases[d], k).entries
         return dmat_cache[(d, k)]
 
@@ -364,7 +352,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
         for name, orders, partial in problem._partials
     ]
 
-    interior = [slice(problem.splits[d][0], shape[d] - problem.splits[d][1]) for d in range(p)]
+    interior = [slice(v1, n - v2) for (v1, v2), n in zip(problem.splits, shape)]
     int_shape = tuple(s.stop - s.start for s in interior)
 
     # coordinate grids over the interior block
@@ -381,11 +369,8 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
     cond_rows = {"a": [], "b": []}
     for side in ("a", "b"):
         for d in range(p):
-            specs = sorted(
-                (s for s in problem._condition_specs if s[0] == d and s[1] == side),
-                key=lambda s: s[2],
-            )
-            if not specs:
+            conds = problem._faces[d, side]
+            if not conds:
                 continue
             endpoint = 0 if side == "a" else shape[d] - 1
             sel = tuple(
@@ -402,7 +387,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
                 reshape = [1] * (p - 1)
                 reshape[pos] = len(xs)
                 env[_coord_name(dd, p)] = np.broadcast_to(xs.reshape(reshape), other_shape)
-            for _, _, order, tree in specs:
+            for order, tree in conds:
                 mat = dmat(d, order)
                 row_vec = (
                     np.eye(shape[d])[endpoint] if mat is None else mat[endpoint]
@@ -433,12 +418,6 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
             f"row bookkeeping error: {len(roles)} rows for {system.size} unknowns"
         )
     return system
-
-
-def assemble_collocation_1d(problem: CollocationProblem, basis: DlfBasis) -> CollocationSystem:
-    if problem.dim != 1:
-        raise AssemblyError(f"expected a one-dimensional problem, got dim={problem.dim}")
-    return assemble_collocation_nd(problem, [basis])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +488,7 @@ def _separable_blocks(system: CollocationSystem):
     """
     if system.problem.dim < 2 or not system.is_linear:
         return None
-    if any(order != 0 for _, _, order, _ in system.problem._condition_specs):
+    if any(k for conds in system.problem._faces.values() for k, _ in conds):
         return None
     rows = system._interior
     blocks = [np.zeros((r.stop - r.start,) * 2) for r in rows]
@@ -691,12 +670,13 @@ def _is_int(v) -> bool:
 # what one per-dimension entry of each config key looks like
 _CONFIG_ENTRY = {
     "domains": _is_pair,
-    "splits": _is_pair,
-    "orders": _is_int,
     "N": _is_int,
     "family": lambda v: isinstance(v, dict),
     "nodes": lambda v: isinstance(v, dict),
 }
+
+# the keys a config's family and nodes objects may hold
+_ENTRY_KEYS = {"family": {"kind", "params"}, "nodes": {"scheme", "values"}}
 
 
 def _per_dim(key: str, value, dim: int) -> list:
@@ -723,12 +703,8 @@ def _config_dim(cfg: dict) -> int:
 
 
 def problem_from_config(cfg: dict) -> CollocationProblem:
-    dim = _config_dim(cfg)
     return CollocationProblem(
-        dim=dim,
-        domains=_per_dim("domains", cfg["domains"], dim),
-        orders=_per_dim("orders", cfg["orders"], dim),
-        splits=_per_dim("splits", cfg["splits"], dim),
+        domains=_per_dim("domains", cfg["domains"], _config_dim(cfg)),
         residual=cfg["residual"],
         rhs=cfg.get("rhs", "0"),
         conditions=cfg.get("conditions", []),
@@ -743,6 +719,13 @@ def bases_from_config(cfg: dict, n_override=None) -> list:
     ns = _per_dim("N", cfg["N"] if n_override is None else n_override, dim)
     out = []
     for d in range(dim):
+        for key, entry in (("family", fams[d]), ("nodes", nodes[d])):
+            unknown = sorted(set(entry) - _ENTRY_KEYS[key])
+            if unknown:
+                raise InvalidParameterError(
+                    f"config {key!r} may hold only {sorted(_ENTRY_KEYS[key])}, "
+                    f"found unknown key {unknown[0]!r}"
+                )
         a, b = (float(t) for t in domains[d])
         node_cfg = nodes[d]
         if "values" in node_cfg:

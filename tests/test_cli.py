@@ -441,6 +441,18 @@ class TestSolveCommand:
         xs = np.linspace(0.0, 0.5, 201)
         assert np.max(np.abs(eval_interpolant(itp, xs) - 1.0 / (1.0 - xs))) < 1e-8
 
+    def test_heterogeneous_second_order_solve_fails(self, capsys, tmp_path):
+        cfg = json.load(open(SINE_CFG))
+        rates = np.linspace(0.3, 1.1, 9).tolist()
+        cfg.update(N=8, family={"kind": "exponential", "params": {"rates": rates}})
+        path = tmp_path / "sine_exponential.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        body = stderr_json(err)
+        assert body["error"] == "assembly"
+        assert "order-2" in body["message"] and "'exponential'" in body["message"]
+
     @pytest.mark.parametrize("flags", [("--max-iter", "-1"), ("--tol", "nan"), ("--tol", "-1")])
     def test_bad_newton_settings_fail(self, capsys, flags):
         code, out, err = run_cli(capsys, "solve", "--config", RICCATI_CFG, *flags)

@@ -1,9 +1,11 @@
-"""Every name a module lists in ``__all__`` must resolve, and the runtime imports numpy only."""
+"""Every name a module lists in ``__all__`` must resolve, the runtime imports numpy only, and
+the shipped script runs."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -37,3 +39,16 @@ def test_absolute_imports_are_numpy_or_stdlib(path):
     top = {name.split(".")[0] for name in imported}
     outside = sorted(top - {"numpy"} - set(sys.stdlib_module_names))
     assert outside == [], f"{path.name} imports {outside}; the runtime depends on numpy only"
+
+
+def test_recurrence_gap_report_runs():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "recurrence_gap_report.py"
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    for line in (
+        "partition-of-unity defect",
+        "D1 row-sum magnitude",
+        "D1 closed form vs oracle",
+        "D2 recurrence vs oracle",
+    ):
+        assert run.stdout.count(line) == 2, f"{line!r} is not reported once per family"

@@ -1,5 +1,6 @@
 """Collocation assembly, row bookkeeping, and the linear/Newton solvers."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -20,7 +21,6 @@ from dlf.solver import (
     CollocationProblem,
     CollocationSystem,
     SolveOptions,
-    assemble_collocation_1d,
     assemble_collocation_nd,
     bases_from_config,
     detect_linear,
@@ -35,10 +35,7 @@ from conftest import build_basis
 
 def bvp_problem(**overrides):
     kw = dict(
-        dim=1,
         domains=[(0.0, 1.0)],
-        orders=[2],
-        splits=[(1, 1)],
         residual="d2u",
         rhs="-pi^2*sin(pi*x)",
         conditions=[
@@ -52,10 +49,7 @@ def bvp_problem(**overrides):
 
 def poisson_problem(rhs="4", cond_exprs=("x2^2", "1 + x2^2", "x1^2", "1 + x1^2")):
     return CollocationProblem(
-        dim=2,
         domains=[(0.0, 1.0), (0.0, 1.0)],
-        orders=[2, 2],
-        splits=[(1, 1), (1, 1)],
         residual="u_2,0 + u_0,2",
         rhs=rhs,
         conditions=[
@@ -67,18 +61,66 @@ def poisson_problem(rhs="4", cond_exprs=("x2^2", "1 + x2^2", "x1^2", "1 + x1^2")
     )
 
 
+class TestProblemShape:
+    def test_shape_is_counted_from_the_conditions(self):
+        prob = CollocationProblem(
+            domains=[(0.0, 1.0), (0.0, 2.0)],
+            residual="u_1,0 + u_0,2",
+            rhs="0",
+            conditions=[
+                {"face": "b2", "order": 0, "expr": "x1"},
+                {"face": "a1", "order": 0, "expr": "x2"},
+                {"face": "a2", "order": 0, "expr": "0"},
+            ],
+        )
+        assert prob.dim == 2
+        assert prob.orders == [1, 2]
+        assert prob.splits == [(1, 0), (1, 1)]
+        inputs = [f.name for f in dataclasses.fields(CollocationProblem) if f.init]
+        assert inputs == ["domains", "residual", "rhs", "conditions"]
+
+    # the orders and splits keys the bundled configs used to carry
+    OLD_SHAPE = {
+        "poisson2d": ([2, 2], [[1, 1], [1, 1]]),
+        "riccati_ivp": ([1], [[1, 0]]),
+        "sine_bvp": ([2], [[1, 1]]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OLD_SHAPE))
+    def test_bundled_configs_solve_as_with_declared_shape(self, name):
+        cfg = load_config(f"configs/{name}.json")
+        for key in ("orders", "splits"):
+            cfg.pop(key, None)
+        orders, splits = self.OLD_SHAPE[name]
+        prob = problem_from_config(cfg)
+        assert (prob.orders, prob.splits) == (orders, [tuple(s) for s in splits])
+        counted = solve_config(cfg)
+        declared = solve_config(dict(cfg, orders=orders, splits=splits))
+        assert counted.interpolant.coeffs.tobytes() == declared.interpolant.coeffs.tobytes()
+        assert (counted.iterations, counted.residual_norm, counted.cond_estimate) == (
+            declared.iterations,
+            declared.residual_norm,
+            declared.cond_estimate,
+        )
+
+    def test_contradicting_shape_keys_are_not_read(self):
+        cfg = load_config("configs/sine_bvp.json")
+        for key in ("orders", "splits"):
+            cfg.pop(key, None)
+        wrong = dict(cfg, orders=[3], splits=[[2, 1]])
+        assert problem_from_config(wrong).splits == [(1, 1)]
+        a, b = solve_config(cfg), solve_config(wrong)
+        assert a.interpolant.coeffs.tobytes() == b.interpolant.coeffs.tobytes()
+
+
 class TestProblemValidation:
     def test_dimension_positive(self):
         with pytest.raises(InvalidParameterError):
-            bvp_problem(dim=0, domains=[], orders=[], splits=[], conditions=[])
+            bvp_problem(domains=[], conditions=[])
 
     def test_entry_counts_match_dimension(self):
         with pytest.raises(InvalidParameterError):
             bvp_problem(domains=[(0.0, 1.0), (0.0, 1.0)])
-
-    def test_split_must_sum_to_order(self):
-        with pytest.raises(InvalidParameterError):
-            bvp_problem(splits=[(1, 0)])
 
     def test_domain_must_be_nonempty(self):
         with pytest.raises(InvalidParameterError):
@@ -95,10 +137,7 @@ class TestProblemValidation:
     def test_1d_symbols_rejected_in_2d(self):
         with pytest.raises(InvalidParameterError):
             poisson_problem().__class__(
-                dim=2,
                 domains=[(0.0, 1.0), (0.0, 1.0)],
-                orders=[2, 2],
-                splits=[(1, 1), (1, 1)],
                 residual="d2u",
                 rhs="0",
                 conditions=poisson_problem().conditions,
@@ -107,10 +146,7 @@ class TestProblemValidation:
     def test_multi_index_arity(self):
         with pytest.raises(InvalidParameterError):
             CollocationProblem(
-                dim=2,
                 domains=[(0.0, 1.0), (0.0, 1.0)],
-                orders=[2, 2],
-                splits=[(1, 1), (1, 1)],
                 residual="u_2",
                 rhs="0",
                 conditions=poisson_problem().conditions,
@@ -150,7 +186,6 @@ class TestProblemValidation:
     def test_repeated_condition_order(self):
         with pytest.raises(InvalidParameterError):
             bvp_problem(
-                splits=[(2, 0)],
                 conditions=[
                     {"face": "a1", "order": 0, "expr": "0"},
                     {"face": "a1", "order": 0, "expr": "1"},
@@ -187,8 +222,6 @@ class TestLinearityDetection:
     def test_quadratic_term(self):
         prob = bvp_problem(
             residual="du - u^2",
-            orders=[1],
-            splits=[(1, 0)],
             conditions=[{"face": "a1", "order": 0, "expr": "1"}],
         )
         assert detect_linear(prob) is False
@@ -205,7 +238,7 @@ class TestLinearityDetection:
     def test_abs_of_coordinates_stays_linear(self):
         prob = bvp_problem(residual="d2u - abs(x - 0.5)*u")
         assert detect_linear(prob) is True
-        system = assemble_collocation_1d(prob, build_basis("identity", n=8, a=0.0, b=1.0))
+        system = assemble_collocation_nd(prob, [build_basis("identity", n=8, a=0.0, b=1.0)])
         result = solve_system(system)
         assert result.linear is True
         assert result.residual_norm < 1e-8
@@ -213,8 +246,8 @@ class TestLinearityDetection:
 
 class TestRowBookkeeping:
     def test_1d_counts(self):
-        system = assemble_collocation_1d(
-            bvp_problem(), build_basis("identity", n=5, a=0.0, b=1.0)
+        system = assemble_collocation_nd(
+            bvp_problem(), [build_basis("identity", n=5, a=0.0, b=1.0)]
         )
         assert system.size == 6
         assert system.row_roles == ["interior"] * 4 + ["initial"] + ["boundary"]
@@ -247,11 +280,9 @@ class TestRowBookkeeping:
         prob = bvp_problem(
             residual="du",
             rhs="1",
-            orders=[1],
-            splits=[(1, 0)],
             conditions=[{"face": "a1", "order": 0, "expr": "0"}],
         )
-        system = assemble_collocation_1d(prob, build_basis("identity", n=4, a=0.0, b=1.0))
+        system = assemble_collocation_nd(prob, [build_basis("identity", n=4, a=0.0, b=1.0)])
         assert system.row_roles == ["interior"] * 4 + ["initial"]
 
 
@@ -264,25 +295,25 @@ class TestAssemblyErrors:
 
     def test_wrapper_requires_1d(self):
         with pytest.raises(AssemblyError):
-            assemble_collocation_1d(
-                poisson_problem(), build_basis("identity", n=3, a=0.0, b=1.0)
+            assemble_collocation_nd(
+                poisson_problem(), [build_basis("identity", n=3, a=0.0, b=1.0)]
             )
 
     def test_n_below_equation_order(self):
         with pytest.raises(AssemblyError):
-            assemble_collocation_1d(
-                bvp_problem(), build_basis("identity", n=1, a=0.0, b=1.0)
+            assemble_collocation_nd(
+                bvp_problem(), [build_basis("identity", n=1, a=0.0, b=1.0)]
             )
 
     def test_conditions_need_endpoint_nodes(self):
         nodes = NodeSet(np.array([0.0, 0.3, 0.6, 0.9]), (0.0, 1.0))
         basis = validate_basis(make_psi_family("identity", {}, size=4), nodes)
         with pytest.raises(AssemblyError, match="last node"):
-            assemble_collocation_1d(bvp_problem(), basis)
+            assemble_collocation_nd(bvp_problem(), [basis])
 
     def test_residual_vector_shape(self):
-        system = assemble_collocation_1d(
-            bvp_problem(), build_basis("identity", n=5, a=0.0, b=1.0)
+        system = assemble_collocation_nd(
+            bvp_problem(), [build_basis("identity", n=5, a=0.0, b=1.0)]
         )
         with pytest.raises(InvalidParameterError):
             system.evaluate_residual(np.zeros(5))
@@ -293,12 +324,10 @@ class TestLinearSolves:
         prob = bvp_problem(
             residual="du",
             rhs="1",
-            orders=[1],
-            splits=[(1, 0)],
             conditions=[{"face": "a1", "order": 0, "expr": "0"}],
         )
         basis = build_basis("identity", n=6, a=0.0, b=1.0)
-        result = solve_system(assemble_collocation_1d(prob, basis))
+        result = solve_system(assemble_collocation_nd(prob, [basis]))
         assert result.linear is True
         assert result.iterations == 0
         assert result.cond_estimate is not None and np.isfinite(result.cond_estimate)
@@ -314,7 +343,7 @@ class TestLinearSolves:
             ],
         )
         basis = build_basis("identity", n=6, a=0.0, b=1.0)
-        result = solve_system(assemble_collocation_1d(prob, basis))
+        result = solve_system(assemble_collocation_nd(prob, [basis]))
         np.testing.assert_allclose(
             result.interpolant.coeffs, 2.0 * basis.nodes.nodes, atol=1e-10
         )
@@ -323,12 +352,10 @@ class TestLinearSolves:
         prob = bvp_problem(
             residual="du - u",
             rhs="0",
-            orders=[1],
-            splits=[(1, 0)],
             conditions=[{"face": "a1", "order": 0, "expr": "1"}],
         )
         basis = build_basis("identity", n=10, a=0.0, b=1.0)
-        result = solve_system(assemble_collocation_1d(prob, basis))
+        result = solve_system(assemble_collocation_nd(prob, [basis]))
         xs = np.linspace(0.0, 1.0, 41)
         err = np.max(np.abs(eval_interpolant(result.interpolant, xs) - np.exp(xs)))
         assert err < 1e-9
@@ -346,11 +373,9 @@ class TestLinearSolves:
         prob = bvp_problem(
             residual="du - du",
             rhs="0",
-            orders=[1],
-            splits=[(1, 0)],
             conditions=[{"face": "a1", "order": 0, "expr": "0"}],
         )
-        system = assemble_collocation_1d(prob, build_basis("identity", n=4, a=0.0, b=1.0))
+        system = assemble_collocation_nd(prob, [build_basis("identity", n=4, a=0.0, b=1.0)])
         with pytest.raises(SingularSystemError) as exc:
             solve_system(system)
         assert exc.value.cond_estimate > 1e12
@@ -358,17 +383,14 @@ class TestLinearSolves:
     @pytest.mark.parametrize("case", ["1d-linear", "2d-nonlinear"])
     def test_jacobian_matches_probed_matrix(self, case, rng):
         if case == "1d-linear":
-            system = assemble_collocation_1d(
-                bvp_problem(), build_basis("identity", n=5, a=0.0, b=1.0)
+            system = assemble_collocation_nd(
+                bvp_problem(), [build_basis("identity", n=5, a=0.0, b=1.0)]
             )
         else:
             # order-0 and order-1 conditions, a rational family in x1 and a
             # non-square grid, so a swapped axis or factor shows
             prob = CollocationProblem(
-                dim=2,
                 domains=[(0.0, 1.0), (0.0, 1.0)],
-                orders=[2, 2],
-                splits=[(1, 1), (1, 1)],
                 residual="u_2,0 + u_0,2 + u*u_1,0 - sin(u_0,1) + x1*u^2",
                 rhs="1",
                 conditions=[
@@ -403,10 +425,7 @@ def dirichlet_problem(residual, conds, rhs="0"):
     dim = len(conds) // 2
     faces = [f"{side}{d + 1}" for d in range(dim) for side in "ab"]
     return CollocationProblem(
-        dim=dim,
         domains=[(0.0, 1.0)] * dim,
-        orders=[2] * dim,
-        splits=[(1, 1)] * dim,
         residual=residual,
         rhs=rhs,
         conditions=[{"face": f, "order": 0, "expr": e} for f, e in zip(faces, conds)],
@@ -518,10 +537,7 @@ class TestDiagonalisedRoute:
 
     def test_order_one_condition_goes_dense(self):
         prob = CollocationProblem(
-            dim=2,
             domains=[(0.0, 1.0)] * 2,
-            orders=[2, 2],
-            splits=[(1, 1)] * 2,
             residual="u_2,0 + u_0,2",
             rhs="1",
             conditions=[
@@ -588,15 +604,13 @@ class TestNewtonSolves:
         return bvp_problem(
             residual="du - u^2",
             rhs="0",
-            orders=[1],
-            splits=[(1, 0)],
             domains=[(0.0, 0.5)],
             conditions=[{"face": "a1", "order": 0, "expr": "1"}],
         )
 
     def test_riccati_from_zero_guess(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
-        result = solve_system(assemble_collocation_1d(self.riccati(), basis))
+        result = solve_system(assemble_collocation_nd(self.riccati(), [basis]))
         assert result.linear is False
         assert 1 <= result.iterations <= 20
         xs = np.linspace(0.0, 0.5, 21)
@@ -605,7 +619,7 @@ class TestNewtonSolves:
 
     def test_iteration_budget_enforced(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
-        system = assemble_collocation_1d(self.riccati(), basis)
+        system = assemble_collocation_nd(self.riccati(), [basis])
         with pytest.raises(NewtonError) as exc:
             solve_system(system, SolveOptions(max_iterations=2))
         assert exc.value.iterations == 2
@@ -615,9 +629,9 @@ class TestNewtonSolves:
         # u^2 + 1 = 0 has no real root; from 1e-3 the Newton step lands near
         # -500 and no step length down to 1/128 gets below 1 + 1e-6
         prob = bvp_problem(
-            residual="u^2 + 1", rhs="0", orders=[0], splits=[(0, 0)], conditions=[]
+            residual="u^2 + 1", rhs="0", conditions=[]
         )
-        system = assemble_collocation_1d(prob, build_basis("identity", n=4, a=0.0, b=1.0))
+        system = assemble_collocation_nd(prob, [build_basis("identity", n=4, a=0.0, b=1.0)])
         opts = SolveOptions(initial_guess=1e-3 * np.ones(system.size))
         with pytest.raises(NewtonError) as exc:
             solve_system(system, opts)
@@ -637,19 +651,19 @@ class TestNewtonSolves:
     )
     def test_newton_settings_are_validated(self, settings):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
-        system = assemble_collocation_1d(self.riccati(), basis)
+        system = assemble_collocation_nd(self.riccati(), [basis])
         with pytest.raises(InvalidParameterError):
             solve_system(system, SolveOptions(**settings))
 
     def test_initial_guess_shape_checked(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
-        system = assemble_collocation_1d(self.riccati(), basis)
+        system = assemble_collocation_nd(self.riccati(), [basis])
         with pytest.raises(InvalidParameterError):
             solve_system(system, SolveOptions(initial_guess=np.zeros(3)))
 
     def test_good_guess_shortens_the_run(self):
         basis = build_basis("identity", n=8, a=0.0, b=0.5)
-        system = assemble_collocation_1d(self.riccati(), basis)
+        system = assemble_collocation_nd(self.riccati(), [basis])
         cold = solve_system(system)
         warm = solve_system(
             system, SolveOptions(initial_guess=1.0 / (1.0 - basis.nodes.nodes))
@@ -676,8 +690,6 @@ class TestConfigs:
         cfg = {
             "dim": 1,
             "domains": [0.0, 1.0],
-            "orders": [1],
-            "splits": [1, 0],
             "residual": "du",
             "rhs": "1",
             "conditions": [{"face": "a1", "order": 0, "expr": "0"}],
@@ -697,8 +709,6 @@ class TestConfigs:
         cfg = {
             "dim": 1,
             "domains": [0.0, 1.0],
-            "orders": [1],
-            "splits": [1, 0],
             "residual": "du",
             "rhs": "1",
             "conditions": [{"face": "a1", "order": 0, "expr": "0"}],
@@ -719,8 +729,6 @@ class TestConfigs:
     # one entry of each key, equal to the per-dimension lists of poisson2d
     SINGLE_ENTRIES = {
         "domains": [0.0, 1.0],
-        "splits": [1, 1],
-        "orders": 2,
         "N": 12,
         "family": {"kind": "identity"},
         "nodes": {"scheme": "cgl"},
@@ -755,12 +763,12 @@ class TestConfigs:
         [
             ("domains", [0.0, 1.0, 2.0]),
             ("domains", [[0.0, 1.0], [0.0, "1"]]),
-            ("splits", [[1, 1], 1]),
-            ("orders", 2.0),
-            ("orders", [2, "2"]),
             ("N", 12.5),
             ("N", True),
             ("family", "identity"),
+            ("family", {"kind": "exponential", "rates": 0.5}),
+            ("family", [{"kind": "identity"}, {"kind": "identity", "L": 1.0}]),
+            ("nodes", {"scheme": "cgl", "N": 8}),
             ("nodes", [{"scheme": "cgl"}, "cgl"]),
         ],
     )
@@ -786,6 +794,33 @@ class TestConfigs:
             bases_from_config(cfg, n_override=8)
         cfg["N"] = 4
         with pytest.raises(InvalidParameterError, match="node values"):
+            bases_from_config(cfg)
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_heterogeneous_second_order_solve_fails_loudly(self, n):
+        # the recurrence for D^(2) is wrong when the maps differ by index;
+        # solving with it used to return an O(0.1) error at residual 1e-13
+        cfg = load_config("configs/sine_bvp.json")
+        rates = np.linspace(0.3, 1.1, n + 1).tolist()
+        cfg["family"] = {"kind": "exponential", "params": {"rates": rates}}
+        with pytest.raises(AssemblyError, match=r"dimension 1: .*order-2 .*'exponential'"):
+            solve_config(cfg, n_override=n)
+
+    def test_heterogeneous_first_order_solve_still_runs(self):
+        # D^(1) is exact for every family, so first-order problems still solve
+        cfg = load_config("configs/riccati_ivp.json")
+        rates = np.linspace(0.3, 1.1, 13).tolist()
+        cfg["family"] = {"kind": "exponential", "params": {"rates": rates}}
+        result = solve_config(cfg)
+        assert result.linear is False
+        assert result.residual_norm <= 1e-12
+
+    def test_unknown_key_inside_family_is_named(self):
+        # "rates" belongs under "params"; it used to be dropped, and the
+        # default rates gave sine_bvp a max error of 14 at N=6 with exit 0
+        cfg = load_config("configs/sine_bvp.json")
+        cfg["family"] = {"kind": "exponential", "rates": 0.5}
+        with pytest.raises(InvalidParameterError, match="'family'.*'rates'"):
             bases_from_config(cfg)
 
     def test_linear_key_is_not_read(self):
