@@ -22,14 +22,12 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dlf.basis import generate_nodes, lagrange_matrix, make_psi_family, validate_basis
+from dlf.basis import basis_from_spec, lagrange_matrix
 from dlf.diffmat import d1_matrix, dm_matrix, dm_oracle_fd
 
 
 def build(kind, params, n, a, b):
-    nodes = generate_nodes("cgl", n, a, b)
-    fam = make_psi_family(kind, params or {}, size=n + 1)
-    return validate_basis(fam, nodes)
+    return basis_from_spec({"kind": kind, "params": params}, {}, n, (a, b))
 
 
 def partition_defect(basis, samples=200, seed=7):

@@ -16,6 +16,7 @@ from .basis import (
     FAMILY_KINDS,
     NodeSet,
     PsiFamily,
+    basis_from_spec,
     dlf_eval,
     dlf_eval_via_weight,
     dlf_limit,
@@ -42,8 +43,6 @@ from .diffmat import (
     dm_matrix,
     dm_oracle_fd,
     dm_power_classical,
-    matrix_from_csv,
-    matrix_to_csv,
 )
 from .errors import (
     AssemblyError,
@@ -108,6 +107,7 @@ __all__ = [
     "TensorInterpolant",
     "UnsupportedKindError",
     "assemble_collocation_nd",
+    "basis_from_spec",
     "classical_contour_error",
     "classical_contour_interpolant",
     "contour_error",
@@ -131,8 +131,6 @@ __all__ = [
     "lagrange_values",
     "load_interpolant",
     "make_psi_family",
-    "matrix_from_csv",
-    "matrix_to_csv",
     "parse_expr",
     "save_interpolant",
     "solve_config",

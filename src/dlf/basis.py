@@ -50,6 +50,7 @@ __all__ = [
     "make_psi_family",
     "generate_nodes",
     "validate_basis",
+    "basis_from_spec",
     "weight_eval",
     "dlf_eval",
     "dlf_eval_via_weight",
@@ -409,10 +410,6 @@ class NodeSet:
         """Polynomial-style degree parameter: node count minus one."""
         return len(self.nodes) - 1
 
-    def with_domain(self, a: float, b: float) -> "NodeSet":
-        """Same nodes inside a different (for example semi-infinite) domain."""
-        return NodeSet(self.nodes.copy(), (a, b), self.scheme)
-
     def contains(self, x: float) -> bool:
         """``x`` lies in the domain widened by ``1e-12 * max(1, |a|, |x_N|)``."""
         lo, hi = self.bounds
@@ -426,6 +423,11 @@ def generate_nodes(scheme: str, N: int, a: float, b: float) -> NodeSet:
     mapped affinely onto ``[a, b]``; the default everywhere in this
     package) and ``"equispaced"``.
     """
+    return NodeSet(_node_values(scheme, N, a, b), (a, b), scheme)
+
+
+def _node_values(scheme: str, N: int, a: float, b: float) -> np.ndarray:
+    """The ``N + 1`` nodes of ``scheme`` on the finite interval ``[a, b]``."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -439,7 +441,7 @@ def generate_nodes(scheme: str, N: int, a: float, b: float) -> NodeSet:
         nodes = np.linspace(a, b, N + 1)
     else:
         raise UnsupportedKindError(f"unknown node scheme {scheme!r}")
-    return NodeSet(nodes, (a, b), scheme)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +493,13 @@ class DlfBasis:
             raise DomainError(f"point {x} outside domain [{a}, {b}]")
 
 
-def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> DlfBasis:
+def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
     """Check the basis existence conditions and build the cached tables.
 
     Raises :class:`SeparationError` if some map fails to separate a pair of
-    nodes (``|psi_i(x_j) - psi_i(x_i)| <= tau_sep`` for ``i != j``) and
+    nodes (``|psi_i(x_j) - psi_i(x_i)| <= TAU_SEP`` for ``i != j``) and
     :class:`DegenerateDerivativeError` if some map has
-    ``|psi_i'(x_i)| <= tau_sep``.  Both tolerances are absolute.
+    ``|psi_i'(x_i)| <= TAU_SEP``.  Both tolerances are absolute.
     """
     if psi.size != len(nodes):
         raise InvalidParameterError(
@@ -525,16 +527,16 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
     size = psi.size
     off = ~np.eye(size, dtype=bool)
     gaps = np.abs(f_tab)
-    bad = off & (gaps <= tau_sep)
+    bad = off & (gaps <= TAU_SEP)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
-        raise SeparationError(int(i), int(j), float(gaps[i, j]), tau_sep)
+        raise SeparationError(int(i), int(j), float(gaps[i, j]), TAU_SEP)
 
     dpsi_own = np.diag(dpsi_tab).copy()
-    small = np.abs(dpsi_own) <= tau_sep
+    small = np.abs(dpsi_own) <= TAU_SEP
     if np.any(small):
         i = int(np.argmax(small))
-        raise DegenerateDerivativeError(i, float(dpsi_own[i]), tau_sep)
+        raise DegenerateDerivativeError(i, float(dpsi_own[i]), TAU_SEP)
     d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
 
     # row j holds the off-diagonal entries of column j, in row order
@@ -565,6 +567,48 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet, tau_sep: float = TAU_SEP) -> 
         _dpsi_own=dpsi_own,
         _d2psi_own=d2psi_own,
     )
+
+
+# the keys a family and a nodes description may hold
+_ENTRY_KEYS = {"family": {"kind", "params"}, "nodes": {"scheme", "values"}}
+
+
+def basis_from_spec(family: dict, nodes: dict, n, domain) -> DlfBasis:
+    """The validated basis that a family and a nodes description define.
+
+    Configs, CLI flags and saved interpolants all describe a basis this way.
+    ``family`` holds ``kind`` (default ``"identity"``) and ``params``;
+    ``nodes`` holds ``values`` and ``scheme``.  Any other key raises
+    :class:`InvalidParameterError` naming it.  With ``values`` the scheme is
+    only a label (default ``"custom"``) and a non-``None`` ``n`` must equal
+    ``len(values) - 1``.  Without them ``n + 1`` nodes are generated by the
+    scheme (default ``"cgl"``) on ``domain``, or on ``[a, a + 1]`` when
+    ``b`` is ``+inf``; the basis keeps the domain ``(a, b)`` either way.
+    """
+    for key, entry in (("family", family), ("nodes", nodes)):
+        unknown = sorted(set(entry) - _ENTRY_KEYS[key])
+        if unknown:
+            raise InvalidParameterError(
+                f"{key!r} may hold only {sorted(_ENTRY_KEYS[key])}, "
+                f"found unknown key {unknown[0]!r}"
+            )
+    a, b = (float(t) for t in domain)
+    if "values" in nodes:
+        values, scheme = nodes["values"], nodes.get("scheme", "custom")
+        if n is not None and len(values) != n + 1:
+            raise InvalidParameterError(
+                f"N={n} needs {n + 1} node values, 'nodes' lists {len(values)}"
+            )
+    elif n is None:
+        raise InvalidParameterError("'nodes' without 'values' needs N")
+    else:
+        scheme = nodes.get("scheme", "cgl")
+        values = _node_values(scheme, n, a, b if math.isfinite(b) else a + 1.0)
+    node_set = NodeSet(values, (a, b), scheme)
+    psi = make_psi_family(
+        family.get("kind", "identity"), family.get("params") or {}, size=len(node_set)
+    )
+    return validate_basis(psi, node_set)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,8 @@ import time
 import numpy as np
 
 from . import exprlang
-from .basis import (
-    NodeSet,
-    generate_nodes,
-    make_psi_family,
-    validate_basis,
-)
+# cli.validate_basis is not called here; it stays because perfbench/tracing.py patches it
+from .basis import basis_from_spec, validate_basis
 from .contour import (
     AnalyticFn,
     Contour,
@@ -111,17 +107,22 @@ def _parse_domain(text: str):
         raise UsageError(f"--domain expects 'a,b', got {text!r}") from None
 
 
-def _family_from_flags(args, size: int):
-    if args.psi_expr:
+def _family_from_flags(args) -> dict:
+    """The family entry that ``--family``, ``--params`` and ``--psi-expr`` describe.
+
+    Empty when none of them is given; ``--params`` alone is an error.
+    """
+    psi_expr = getattr(args, "psi_expr", None)
+    params = _json_flag(args.params, "--params") if args.params else {}
+    if psi_expr:
         if args.family and args.family != "generalized":
             raise UsageError("--psi-expr conflicts with --family")
-        params = {"expr": args.psi_expr}
-        if args.params:
-            params.update(_json_flag(args.params, "--params"))
-        return make_psi_family("generalized", params, size=size)
-    kind = args.family or "identity"
-    params = _json_flag(args.params, "--params") if args.params else {}
-    return make_psi_family(kind, params, size=size)
+        return {"kind": "generalized", "params": {"expr": psi_expr, **params}}
+    if args.family:
+        return {"kind": args.family, "params": params}
+    if args.params:
+        raise UsageError("--params needs --family or --psi-expr")
+    return {}
 
 
 def _json_flag(text: str, flag: str) -> dict:
@@ -134,36 +135,31 @@ def _json_flag(text: str, flag: str) -> dict:
     return value
 
 
-def _basis_from_flags(args, default_domain=(-1.0, 1.0)):
-    domain = _parse_domain(args.domain) if args.domain else default_domain
+def _basis_from_flags(args):
+    domain = _parse_domain(args.domain) if args.domain else (-1.0, 1.0)
+    n = args.N
     if args.nodes:
+        if args.scheme:
+            raise UsageError("--scheme conflicts with --nodes")
         try:
             values = [float(tok) for tok in args.nodes.split(",")]
         except ValueError:
             raise UsageError(f"--nodes expects comma-separated numbers") from None
-        if args.N is not None and args.N + 1 != len(values):
-            raise UsageError(
-                f"--N {args.N} needs {args.N + 1} nodes, --nodes lists {len(values)}"
-            )
-        node_set = NodeSet(np.asarray(values), domain, "user-supplied")
+        if n is not None and n + 1 != len(values):
+            raise UsageError(f"--N {n} needs {n + 1} nodes, --nodes lists {len(values)}")
+        nodes = {"values": values, "scheme": "user-supplied"}
     else:
-        n = args.N if args.N is not None else 8
-        a, b = domain
-        end = b if math.isfinite(b) else a + 1.0
-        node_set = generate_nodes(args.scheme or "cgl", n, a, end)
-        if not math.isfinite(b):
-            node_set = node_set.with_domain(a, b)
-    fam = _family_from_flags(args, size=len(node_set))
-    return validate_basis(fam, node_set)
+        nodes = {"scheme": args.scheme} if args.scheme else {}
+        n = 8 if n is None else n
+    return basis_from_spec(_family_from_flags(args), nodes, n, domain)
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
-    if getattr(args, "family", None):
-        cfg["family"] = {"kind": args.family}
-        if getattr(args, "params", None):
-            cfg["family"]["params"] = _json_flag(args.params, "--params")
-    if getattr(args, "scheme", None):
+    family = _family_from_flags(args)
+    if family:
+        cfg["family"] = family
+    if args.scheme:
         cfg["nodes"] = {"scheme": args.scheme}
     return cfg
 

@@ -41,8 +41,6 @@ __all__ = [
     "dm_matrix",
     "dm_power_classical",
     "dm_oracle_fd",
-    "matrix_to_csv",
-    "matrix_from_csv",
 ]
 
 PROVENANCES = ("closed-form", "recurrence", "classical-power", "fd-oracle")
@@ -225,26 +223,3 @@ def dm_oracle_fd(basis: DlfBasis, m: int, step: float | None = None) -> DiffMatr
             disagreement,
         )
     return DiffMatrix(order=m, entries=r_fine, provenance="fd-oracle")
-
-
-def matrix_to_csv(dm: DiffMatrix, path) -> None:
-    """Write entries row-major, one row per line, 17 significant digits."""
-    with open(path, "w") as fh:
-        for row in dm.entries:
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
-
-
-def matrix_from_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`matrix_to_csv`."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise InvalidParameterError(
-            f"expected a square matrix in {path}, got rows of lengths "
-            f"{[len(r) for r in rows]}"
-        )
-    return np.asarray(rows, dtype=float)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# interp.validate_basis is not called here; it stays because perfbench/tracing.py patches it
 from .basis import (
     DlfBasis,
-    NodeSet,
+    basis_from_spec,
     lagrange_matrix,
     lagrange_values,
-    make_psi_family,
     validate_basis,
 )
 from .errors import InvalidParameterError
@@ -148,20 +148,6 @@ def _dim_block(basis: DlfBasis) -> dict:
     }
 
 
-def _dim_basis(block: dict) -> DlfBasis:
-    fam = make_psi_family(
-        block["family"]["kind"],
-        block["family"].get("params") or {},
-        size=len(block["nodes"]["values"]),
-    )
-    ns = NodeSet(
-        nodes=np.asarray(block["nodes"]["values"], dtype=float),
-        domain=tuple(block["nodes"]["domain"]),
-        scheme=block["nodes"].get("scheme", "custom"),
-    )
-    return validate_basis(fam, ns)
-
-
 def interpolant_to_json(itp: TensorInterpolant) -> dict:
     """JSON-ready dict (coefficients last-fastest); 1-D files say ``interpolant``."""
     if not isinstance(itp, TensorInterpolant):
@@ -187,7 +173,15 @@ def interpolant_from_json(data: dict):
         )
     if kind not in ("interpolant", "tensor-interpolant"):
         raise InvalidParameterError(f"unknown serialized kind {kind!r}")
-    bases = [_dim_basis(block) for block in data["dims"]]
+    bases = [
+        basis_from_spec(
+            block["family"],
+            {k: v for k, v in block["nodes"].items() if k != "domain"},
+            None,
+            block["nodes"]["domain"],
+        )
+        for block in data["dims"]
+    ]
     if kind == "interpolant" and len(bases) != 1:
         raise InvalidParameterError("1-d interpolant must have exactly one dim block")
     return TensorInterpolant(bases=bases, coeffs=data["coeffs"])

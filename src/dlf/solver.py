@@ -36,7 +36,8 @@ from functools import reduce
 import numpy as np
 
 from . import exprlang
-from .basis import NodeSet, generate_nodes, make_psi_family, validate_basis
+# solver.validate_basis is not called here; it stays because perfbench/tracing.py patches it
+from .basis import basis_from_spec, validate_basis
 from .diffmat import dm_matrix
 from .errors import (
     AssemblyError,
@@ -305,6 +306,11 @@ class CollocationSystem:
         return jac
 
 
+def _is_face(node: float, face: float) -> bool:
+    """``node`` sits on the finite domain end ``face`` (an infinite end holds no node)."""
+    return bool(np.isfinite(face)) and abs(node - face) <= _ENDPOINT_TOL * (1 + abs(face))
+
+
 def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSystem:
     bases = list(bases)
     p = problem.dim
@@ -319,12 +325,12 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
             )
         a_dom, b_dom = problem.domains[d]
         xs = b.nodes.nodes
-        if v1 and abs(xs[0] - a_dom) > _ENDPOINT_TOL * (1 + abs(a_dom)):
+        if v1 and not _is_face(xs[0], a_dom):
             raise AssemblyError(
                 f"dimension {d + 1}: conditions at {a_dom} need it to be the first node "
                 f"(found {xs[0]})"
             )
-        if v2 and abs(xs[-1] - b_dom) > _ENDPOINT_TOL * (1 + abs(b_dom)):
+        if v2 and not _is_face(xs[-1], b_dom):
             raise AssemblyError(
                 f"dimension {d + 1}: conditions at {b_dom} need it to be the last node "
                 f"(found {xs[-1]})"
@@ -675,8 +681,12 @@ _CONFIG_ENTRY = {
     "nodes": lambda v: isinstance(v, dict),
 }
 
-# the keys a config's family and nodes objects may hold
-_ENTRY_KEYS = {"family": {"kind", "params"}, "nodes": {"scheme", "values"}}
+# the top-level keys a config may hold; orders, splits and linear are
+# accepted for older configs and not read
+_CONFIG_KEYS = {
+    "dim", "domains", "residual", "rhs", "conditions", "family", "nodes", "N", "exact",
+    "orders", "splits", "linear",
+}
 
 
 def _per_dim(key: str, value, dim: int) -> list:
@@ -696,6 +706,11 @@ def _per_dim(key: str, value, dim: int) -> list:
 
 
 def _config_dim(cfg: dict) -> int:
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise InvalidParameterError(
+            f"config may hold only {sorted(_CONFIG_KEYS)}, found unknown key {unknown[0]!r}"
+        )
     dim = cfg.get("dim", 1)
     if not _is_int(dim) or dim < 1:
         raise InvalidParameterError(f"config 'dim' must be an integer >= 1, got {dim!r}")
@@ -713,42 +728,13 @@ def problem_from_config(cfg: dict) -> CollocationProblem:
 
 def bases_from_config(cfg: dict, n_override=None) -> list:
     dim = _config_dim(cfg)
-    domains = _per_dim("domains", cfg["domains"], dim)
-    fams = _per_dim("family", cfg.get("family", {"kind": "identity"}), dim)
-    nodes = _per_dim("nodes", cfg.get("nodes", {"scheme": "cgl"}), dim)
-    ns = _per_dim("N", cfg["N"] if n_override is None else n_override, dim)
-    out = []
-    for d in range(dim):
-        for key, entry in (("family", fams[d]), ("nodes", nodes[d])):
-            unknown = sorted(set(entry) - _ENTRY_KEYS[key])
-            if unknown:
-                raise InvalidParameterError(
-                    f"config {key!r} may hold only {sorted(_ENTRY_KEYS[key])}, "
-                    f"found unknown key {unknown[0]!r}"
-                )
-        a, b = (float(t) for t in domains[d])
-        node_cfg = nodes[d]
-        if "values" in node_cfg:
-            if len(node_cfg["values"]) != ns[d] + 1:
-                raise InvalidParameterError(
-                    f"dimension {d + 1}: N={ns[d]} needs {ns[d] + 1} node values, "
-                    f"config 'nodes' lists {len(node_cfg['values'])}"
-                )
-            node_set = NodeSet(
-                nodes=np.asarray(node_cfg["values"], dtype=float),
-                domain=(a, b),
-                scheme=node_cfg.get("scheme", "custom"),
-            )
-        else:
-            node_set = generate_nodes(node_cfg.get("scheme", "cgl"), ns[d], a, b)
-        fam_cfg = fams[d]
-        fam = make_psi_family(
-            fam_cfg.get("kind", "identity"),
-            fam_cfg.get("params") or {},
-            size=len(node_set),
-        )
-        out.append(validate_basis(fam, node_set))
-    return out
+    entries = zip(
+        _per_dim("family", cfg.get("family", {}), dim),
+        _per_dim("nodes", cfg.get("nodes", {}), dim),
+        _per_dim("N", cfg["N"] if n_override is None else n_override, dim),
+        _per_dim("domains", cfg["domains"], dim),
+    )
+    return [basis_from_spec(*entry) for entry in entries]
 
 
 def solve_config(cfg: dict, n_override=None, options: SolveOptions | None = None) -> SolveResult:

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from dlf.basis import (
     FAMILY_KINDS,
     NodeSet,
+    basis_from_spec,
     dlf_eval,
     dlf_eval_via_weight,
     dlf_limit,
@@ -405,6 +406,45 @@ def test_generate_nodes_rejects(call):
 def test_unknown_scheme():
     with pytest.raises(UnsupportedKindError):
         generate_nodes("legendre", 4, 0.0, 1.0)
+
+
+# -- bases from a description ---------------------------------------------
+
+
+def test_spec_defaults_to_identity_on_cgl_nodes():
+    basis = basis_from_spec({}, {}, 6, (0.0, 2.0))
+    assert (basis.psi.kind, basis.nodes.scheme) == ("identity", "cgl")
+    assert basis.nodes.nodes.tobytes() == generate_nodes("cgl", 6, 0.0, 2.0).nodes.tobytes()
+    assert basis_from_spec({}, {"values": [0.0, 2.0]}, None, (0.0, 2.0)).nodes.scheme == "custom"
+
+
+def test_spec_generates_semi_infinite_nodes_on_a_unit_interval():
+    basis = basis_from_spec({"kind": "rational", "params": {"L": 1.0}}, {}, 8, (0.5, np.inf))
+    assert basis.nodes.domain == (0.5, np.inf)
+    assert basis.nodes.nodes.tobytes() == generate_nodes("cgl", 8, 0.5, 1.5).nodes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, nodes, key",
+    [
+        ({"kind": "exponential", "rates": 0.5}, {}, "'family'.*'rates'"),
+        ({}, {"scheme": "cgl", "N": 4}, "'nodes'.*'N'"),
+        ({}, {"values": [0.0, 1.0], "domain": [0.0, 1.0]}, "'nodes'.*'domain'"),
+    ],
+)
+def test_spec_rejects_unknown_keys_by_name(family, nodes, key):
+    with pytest.raises(InvalidParameterError, match=key):
+        basis_from_spec(family, nodes, 1, (0.0, 1.0))
+
+
+def test_spec_node_values_must_number_n_plus_one():
+    values = [0.0, 0.3, 0.7, 1.0]
+    for n in (3, None):
+        assert basis_from_spec({}, {"values": values}, n, (0.0, 1.0)).size == 4
+    with pytest.raises(InvalidParameterError, match="N=4 needs 5 node values"):
+        basis_from_spec({}, {"values": values}, 4, (0.0, 1.0))
+    with pytest.raises(InvalidParameterError, match="needs N"):
+        basis_from_spec({}, {"scheme": "cgl"}, None, (0.0, 1.0))
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from dlf.cli import _build_parser, _samples_csv, main
+from dlf.cli import _basis_from_flags, _build_parser, _samples_csv, main
 from dlf.interp import eval_interpolant, load_interpolant
-from dlf.solver import load_config, solve_config
+from dlf.solver import bases_from_config, load_config, solve_config
 
 SINE_CFG = "configs/sine_bvp.json"
 RICCATI_CFG = "configs/riccati_ivp.json"
@@ -227,6 +227,58 @@ class TestBasisCommand:
         code, _, err = run_cli(capsys, "basis", "--params", "{nope}")
         assert code == 1
         assert stderr_json(err)["error"] == "usage"
+
+
+    def test_scheme_conflicts_with_nodes(self, capsys):
+        # the scheme used to be dropped without a word
+        code, out, err = run_cli(
+            capsys, "basis", "--nodes", "0,0.5,1", "--domain", "0,1", "--scheme", "banana"
+        )
+        assert (code, out) == (1, "")
+        assert stderr_json(err)["message"] == "--scheme conflicts with --nodes"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["basis"], ["solve", "--config", SINE_CFG], ["converge", "--config", SINE_CFG, "--N", "4,8"]],
+    )
+    def test_params_needs_a_family(self, capsys, argv):
+        # solve used to drop the parameters and run on identity with exit 0
+        code, out, err = run_cli(capsys, *argv, "--params", '{"rates": 0.5}')
+        assert (code, out) == (1, "")
+        assert stderr_json(err)["message"] == "--params needs --family or --psi-expr"
+
+
+class TestOneBasisDescription:
+    """Flags, a config entry and a saved interpolant block give the same basis."""
+
+    CASES = [
+        (["--family", "rational", "--params", '{"L": 2.0}', "--N", "10", "--domain", "0,inf"],
+         {"family": {"kind": "rational", "params": {"L": 2.0}}, "N": 10,
+          "domains": [0.0, float("inf")]}),
+        (["--family", "exponential", "--params", '{"rates": 0.5}', "--nodes", "0,0.2,0.5,1",
+          "--domain", "0,1"],
+         {"family": {"kind": "exponential", "params": {"rates": 0.5}}, "N": 3,
+          "nodes": {"values": [0.0, 0.2, 0.5, 1.0]}, "domains": [0.0, 1.0]}),
+        (["--psi-expr", "x + x^3", "--scheme", "equispaced", "--N", "5", "--domain", "0,1"],
+         {"family": {"kind": "generalized", "params": {"expr": "x + x^3"}}, "N": 5,
+          "nodes": {"scheme": "equispaced"}, "domains": [0.0, 1.0]}),
+    ]
+
+    @pytest.mark.parametrize("flags, cfg", CASES)
+    def test_same_basis_three_ways(self, capsys, tmp_path, flags, cfg):
+        from_flags = _basis_from_flags(_build_parser().parse_args(["basis", *flags]))
+        (from_config,) = bases_from_config(cfg)
+        target = tmp_path / "itp.json"
+        code, _, err = run_cli(capsys, "interp", *flags, "--expr", "1", "--out", str(target))
+        assert code == 0, err
+        (from_block,) = load_interpolant(target).bases
+        for basis in (from_config, from_block):
+            assert basis.nodes.nodes.tobytes() == from_flags.nodes.nodes.tobytes()
+            assert basis.nodes.domain == from_flags.nodes.domain
+            assert basis.psi.kind == from_flags.psi.kind
+            assert basis.psi.params.keys() == from_flags.psi.params.keys()
+            for key, value in from_flags.psi.params.items():
+                assert np.array_equal(basis.psi.params[key], value)
 
 
 class TestDiffmatCommand:

@@ -20,8 +20,6 @@ from dlf.diffmat import (
     dm_matrix,
     dm_oracle_fd,
     dm_power_classical,
-    matrix_from_csv,
-    matrix_to_csv,
 )
 from dlf.errors import (
     DerivativeOrderError,
@@ -205,22 +203,6 @@ def test_provenance_tags():
     assert dm_power_classical(basis, 2).provenance == "classical-power"
     assert dm_oracle_fd(basis, 1).provenance == "fd-oracle"
     assert set(PROVENANCES) >= {"closed-form", "recurrence"}
-
-
-def test_csv_round_trip(tmp_path):
-    basis = build_basis("exponential", {"rates": 0.5}, n=5, a=0.0, b=1.0)
-    dm = dm_matrix(basis, 2)
-    path = tmp_path / "d2.csv"
-    matrix_to_csv(dm, path)
-    back = matrix_from_csv(path)
-    np.testing.assert_array_equal(back, dm.entries)
-
-
-def test_csv_rejects_non_square(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(InvalidParameterError):
-        matrix_from_csv(path)
 
 
 @given(n=st.integers(min_value=2, max_value=10))

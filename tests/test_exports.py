@@ -52,3 +52,32 @@ def test_recurrence_gap_report_runs():
         "D2 recurrence vs oracle",
     ):
         assert run.stdout.count(line) == 2, f"{line!r} is not reported once per family"
+
+
+def test_tracer_targets_resolve_and_are_restored(monkeypatch):
+    # perfbench/tracing.py patches names across dlf (cli.validate_basis,
+    # solver.np, ...); a moved name would otherwise fail only the perfbench suite
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    mods = {
+        name: importlib.import_module(f"dlf.{name}")
+        for name in ("cli", "solver", "basis", "interp", "contour", "exprlang")
+    }
+    owners = [*mods.values(), mods["solver"].CollocationSystem, mods["basis"].PsiFamily]
+    before = [dict(vars(owner)) for owner in owners]
+
+    def changed():
+        return [
+            (getattr(owner, "__name__", owner), attr)
+            for owner, saved in zip(owners, before)
+            for attr, value in vars(owner).items()
+            if saved.get(attr) is not value
+        ]
+
+    instrumentation = tracing.Instrumentation(tracing.Tracer(), mods)
+    instrumentation.install()
+    try:
+        assert ("dlf.solver", "validate_basis") in changed()
+    finally:
+        instrumentation.remove()
+    assert changed() == []

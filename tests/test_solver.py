@@ -1,6 +1,7 @@
 """Collocation assembly, row bookkeeping, and the linear/Newton solvers."""
 
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -840,3 +841,55 @@ class TestConfigs:
         xs = np.linspace(0.0, 0.5, 21)
         err = np.max(np.abs(eval_interpolant(result.interpolant, xs) - 1.0 / (1.0 - xs)))
         assert err < 1e-7
+
+    @pytest.mark.parametrize("key", ["famly", "Nodes", "n"])
+    def test_unknown_top_level_key_is_named(self, key):
+        # a misspelt "family" used to be dropped and the solve ran on identity
+        cfg = load_config("configs/sine_bvp.json")
+        cfg[key] = cfg.pop("family") if key == "famly" else {}
+        for read in (problem_from_config, bases_from_config):
+            with pytest.raises(InvalidParameterError, match=f"unknown key {key!r}"):
+                read(cfg)
+
+    def test_older_shape_keys_are_accepted_and_ignored(self):
+        cfg = load_config("configs/poisson2d.json")
+        plain = solve_config(cfg, n_override=8)
+        cfg.update(orders=[9, 9], splits=[[0, 0], [0, 0]], linear=False)
+        assert np.array_equal(solve_config(cfg, n_override=8).interpolant.coeffs,
+                              plain.interpolant.coeffs)
+
+
+class TestSemiInfiniteDomain:
+    """u'' = 2u/(1+x)^2 on [0, inf), whose solution 1/(1+x) is 1 - t in t = x/(1+x)."""
+
+    CFG = """{
+        "domains": [0, Infinity],
+        "residual": "d2u - 2*u/(1+x)^2",
+        "family": {"kind": "rational", "params": {"L": 1.0}},
+        "N": 12,
+        "conditions": [%s]
+    }"""
+
+    def config(self, *conditions):
+        return json.loads(self.CFG % ", ".join(conditions))
+
+    def test_a_face_conditions_solve(self):
+        cfg = self.config(
+            '{"face": "a1", "order": 0, "expr": "1"}', '{"face": "a1", "order": 1, "expr": "-1"}'
+        )
+        (basis,) = bases_from_config(cfg)
+        assert basis.nodes.domain == (0.0, np.inf)
+        result = solve_config(cfg)
+        nodes = basis.nodes.nodes
+        assert np.max(np.abs(result.interpolant.coeffs - 1.0 / (1.0 + nodes))) < 1e-7
+        far = np.array([10.0, 100.0, 1e4])
+        assert np.max(np.abs(eval_interpolant(result.interpolant, far) - 1.0 / (1.0 + far))) < 1e-4
+
+    def test_condition_on_the_infinite_face_fails_loudly(self):
+        # the last node check compared inf with inf and never fired: the solve
+        # put u = 0 at the last node x = 1, where 1/(1+x) is 0.5
+        cfg = self.config(
+            '{"face": "a1", "order": 0, "expr": "1"}', '{"face": "b1", "order": 0, "expr": "0"}'
+        )
+        with pytest.raises(AssemblyError, match="dimension 1: conditions at inf"):
+            solve_config(cfg)
