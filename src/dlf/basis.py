@@ -14,10 +14,13 @@ absolute tolerance and precomputes every quantity the rest of the package
 needs (first and second derivatives of the node-product function ``w`` at
 the nodes, and the scale factors ``mu_j``).
 
-Two evaluation routes exist for ``L_j``: the product above (authoritative,
-used everywhere) and the ratio form ``mu_j * w(x) / (psi_j(x) - psi_j(x_j))``
-(:func:`dlf_eval_via_weight`), which is exact away from the nodes and kept
-as an independent cross-check.
+Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
+through one kernel, ``_cardinals``, which divides the full product by each
+term and by the cached node-gap products (factor by factor where a term
+is zero or tiny).  :func:`dlf_eval` forms the defining product above and
+is the reference the kernel is tested against; the ratio form ``mu_j *
+w(x) / (psi_j(x) - psi_j(x_j))`` (:func:`dlf_eval_via_weight`) is exact
+away from the nodes and kept as an independent cross-check.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -466,7 +469,6 @@ class DlfBasis:
     wsecond_at_nodes: np.ndarray
     # internal caches
     _psi_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j)
-    _dpsi_tab: np.ndarray = field(repr=False, default=None)  # psi_i'(x_j)
     _f_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j) - psi_i(x_i)
     _denom_prod: np.ndarray = field(repr=False, default=None)
     _dpsi_own: np.ndarray = field(repr=False, default=None)  # psi_j'(x_j)
@@ -561,7 +563,6 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
         wprime_at_nodes=wprime,
         wsecond_at_nodes=wsecond,
         _psi_tab=psi_tab,
-        _dpsi_tab=dpsi_tab,
         _f_tab=f_tab,
         _denom_prod=denom_prod,
         _dpsi_own=dpsi_own,

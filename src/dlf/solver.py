@@ -5,24 +5,29 @@ to ``u``), a right-hand side, and endpoint conditions per dimension.  The
 conditions fix the problem's shape: dimension ``d`` has ``v1`` conditions
 on its face ``a`` and ``v2`` on its face ``b``, and the equation there is of
 order ``v1 + v2``.  On a tensor grid of ``prod (N_i + 1)`` unknown nodal
-values the assembled system has exactly that many equations:
+values the assembled system has exactly that many equations.  Derivatives
+are always applied through the operational matrices, so the system is
+algebraic in the nodal values.
 
-- interior rows: operator minus right-hand side at the grid of interior
-  collocation nodes (per dimension, the ``v1`` leading and ``v2`` trailing
-  nodes are dropped),
-- condition rows: endpoint derivative values minus the condition data,
-  with every dropped node index backing exactly one condition row.
+Every block of rows is a *box*: one row slice per dimension of the nodal
+grid and one derivative matrix ``D_d^(k)`` (``None`` for ``k = 0``) per
+dimension.  Its values are the matrices applied along their axes, then
+sliced; its Jacobian rows are the same slices of their Kronecker product.
 
-A grid point whose index is dropped in several dimensions gets its row from
-the lowest such dimension, which keeps the count exact; the other
-dimensions sample their conditions only over index ranges not already
-claimed.  Derivatives are always applied through the operational matrices,
-so the system is algebraic in the nodal values.
+- interior rows: one box per u-symbol over the interior nodes (per
+  dimension the ``v1`` leading and ``v2`` trailing nodes are dropped),
+  combined by the residual expression, minus the right-hand side;
+- condition rows: one box per condition, minus its data.  An order-``k``
+  condition on a face of dimension ``d`` has ``D_d^(k)`` in ``d`` and
+  ``None`` elsewhere; its rows are the face's endpoint in ``d``, the
+  interior nodes in earlier dimensions and all nodes in later ones.  So a
+  grid point dropped in several dimensions gets its row from the lowest
+  one, and every dropped node index backs exactly one condition row.
 
 Row order: all interior rows (C-order), then face-``a`` rows
 ("initial"), then face-``b`` rows ("boundary"), each condition block
 ordered by dimension, then by condition derivative order, then C-order
-over the sampled indices.
+over its box.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numbers
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,9 +233,48 @@ def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
 
 
+class _Box(NamedTuple):
+    """A block of rows: a box of the nodal grid under one matrix per dimension."""
+
+    rows: tuple  # one slice per dimension
+    mats: tuple  # one derivative matrix, or None for the identity, per dimension
+    data: np.ndarray | None = None  # a condition's data, in the box's shape
+
+
+def _apply(box: _Box, grid: np.ndarray) -> np.ndarray:
+    """The box's values: each matrix applied along its axis, then the box indexed."""
+    for axis, mat in enumerate(box.mats):
+        if mat is not None:
+            grid = _along(mat, grid, axis)
+    return grid[box.rows]
+
+
+def _kron(box: _Box, shape: tuple) -> np.ndarray:
+    """The box's rows of the Kronecker product of its matrices."""
+    factors = [
+        (np.eye(n) if mat is None else mat)[rows]
+        for n, mat, rows in zip(shape, box.mats, box.rows)
+    ]
+    # the ones seed makes the product a fresh array, safe to scale in place
+    return reduce(np.kron, factors, np.ones((1, 1)))
+
+
+def _coords(bases, rows) -> dict:
+    """Every coordinate over the box ``rows`` of the nodal grid, by name."""
+    xs = [b.nodes.nodes[r] for b, r in zip(bases, rows)]
+    grids = np.meshgrid(*xs, indexing="ij", copy=False)
+    return {_coord_name(d, len(xs)): g for d, g in enumerate(grids)}
+
+
 @dataclass(eq=False)
 class CollocationSystem:
-    """Assembled square system over the flat vector of nodal values."""
+    """Assembled square system over the flat vector of nodal values.
+
+    Its rows are boxes (see the module docstring): ``_derivs`` holds the
+    interior box of each u-symbol, ``_conds`` the condition boxes in row
+    order.  ``row_roles`` names each row ``"interior"``, ``"initial"``
+    (face ``a``) or ``"boundary"`` (face ``b``).
+    """
 
     problem: CollocationProblem
     bases: list
@@ -238,11 +283,11 @@ class CollocationSystem:
     is_linear: bool
     # internal plumbing
     _shape: tuple = field(default=None, repr=False)
-    _derivs: list = field(default=None, repr=False)  # [(symbol, mats, partial)]
-    _interior: list = field(default=None, repr=False)  # per-dim slice
-    _cond_rows: list = field(default=None, repr=False)
-    _int_env: dict = field(default=None, repr=False)
-    _int_shape: tuple = field(default=None, repr=False)
+    _interior: tuple = field(default=None, repr=False)  # one slice per dimension
+    _derivs: list = field(default=None, repr=False)  # [(symbol, box, partial)]
+    _conds: list = field(default=None, repr=False)  # [box with data]
+    _int_env: dict = field(default=None, repr=False)  # coordinates over _interior
+    _rhs: np.ndarray = field(default=None, repr=False)  # right-hand side over _interior
 
     def _grid_and_env(self, u_flat: np.ndarray):
         """The nodal grid and the interior binding of coordinates and u-symbols."""
@@ -253,57 +298,31 @@ class CollocationSystem:
             )
         grid = u_flat.reshape(self._shape)
         env = dict(self._int_env)
-        for name, mats, _ in self._derivs:
-            g = grid
-            for axis, mat in enumerate(mats):
-                if mat is not None:
-                    g = _along(mat, g, axis)
-            env[name] = g[tuple(self._interior)]
+        for name, box, _ in self._derivs:
+            env[name] = _apply(box, grid)
         return grid, env
 
     def evaluate_residual(self, u_flat: np.ndarray) -> np.ndarray:
         grid, env = self._grid_and_env(u_flat)
-        res = exprlang.eval_expr(self.problem._residual_tree, env) - exprlang.eval_expr(
-            self.problem._rhs_tree, self._int_env
-        )
-        pieces = [np.broadcast_to(np.asarray(res, dtype=float), self._int_shape).ravel()]
-
-        for row_vec, axis, sel, data in self._cond_rows:
-            sub = np.tensordot(row_vec, grid, axes=(0, axis))
-            pieces.append((sub[sel] - data).ravel())
-        return np.concatenate(pieces)
+        res = exprlang.eval_expr(self.problem._residual_tree, env) - self._rhs
+        pieces = [res] + [_apply(box, grid) - box.data for box in self._conds]
+        return np.concatenate([piece.ravel() for piece in pieces])
 
     def evaluate_jacobian(self, u_flat: np.ndarray) -> np.ndarray:
         """Exact Jacobian of the residual at ``u_flat``.
 
         Interior rows are ``sum_s diag(dR/ds) kron_d D_d^(k_s)`` over the
         u-symbols ``s``, restricted to the interior rows of each factor;
-        condition rows are ``row_vec`` kron the sampled identity rows.
+        condition rows are the Kronecker rows of their boxes.
         """
         _, env = self._grid_and_env(u_flat)
-        jac = np.zeros((self.size, self.size))
-        n_int = int(np.prod(self._int_shape))
-        for _, mats, partial in self._derivs:
-            factors = [
-                (np.eye(n) if mat is None else mat)[rows]
-                for n, mat, rows in zip(self._shape, mats, self._interior)
-            ]
-            # the ones seed makes the block a fresh array, safe to scale in place
-            block = reduce(np.kron, factors, np.ones((1, 1)))
+        interior = np.zeros((self._rhs.size, self.size))
+        for _, box, partial in self._derivs:
+            block = _kron(box, self._shape)
             vals = np.asarray(exprlang.eval_expr(partial, env), dtype=float)
-            block *= np.broadcast_to(vals, self._int_shape).reshape(-1, 1)
-            jac[:n_int] += block
-        row = n_int
-        for row_vec, axis, sel, _ in self._cond_rows:
-            rest = iter(sel)
-            factors = [
-                row_vec[None] if d == axis else np.eye(n)[next(rest)]
-                for d, n in enumerate(self._shape)
-            ]
-            block = reduce(np.kron, factors)
-            jac[row : row + len(block)] = block
-            row += len(block)
-        return jac
+            block *= np.broadcast_to(vals, self._rhs.shape).reshape(-1, 1)
+            interior += block
+        return np.concatenate([interior] + [_kron(box, self._shape) for box in self._conds])
 
 
 def _is_face(node: float, face: float) -> bool:
@@ -336,7 +355,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
                 f"(found {xs[-1]})"
             )
 
-    # derivative matrices, one bundle per u-symbol in the residual
+    # derivative matrices, one per dimension and order
     dmat_cache = {}
 
     def dmat(d: int, k: int):
@@ -353,58 +372,31 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
             dmat_cache[(d, k)] = dm_matrix(bases[d], k).entries
         return dmat_cache[(d, k)]
 
+    def on_box(tree, env):
+        """``tree`` evaluated over the box of the coordinates ``env``, in its shape."""
+        vals = np.asarray(exprlang.eval_expr(tree, env), dtype=float)
+        return np.broadcast_to(vals, env[_coord_name(0, p)].shape)
+
+    interior = tuple(slice(v1, n - v2) for (v1, v2), n in zip(problem.splits, shape))
     derivs = [
-        (name, [dmat(d, k) for d, k in enumerate(orders)], partial)
+        (name, _Box(interior, tuple(dmat(d, k) for d, k in enumerate(orders))), partial)
         for name, orders, partial in problem._partials
     ]
+    int_env = _coords(bases, interior)
+    rhs = on_box(problem._rhs_tree, int_env)
 
-    interior = [slice(v1, n - v2) for (v1, v2), n in zip(problem.splits, shape)]
-    int_shape = tuple(s.stop - s.start for s in interior)
-
-    # coordinate grids over the interior block
-    int_env = {}
-    for d in range(p):
-        xs = bases[d].nodes.nodes[interior[d]]
-        reshape = [1] * p
-        reshape[d] = len(xs)
-        int_env[_coord_name(d, p)] = np.broadcast_to(xs.reshape(reshape), int_shape)
-
-    # condition rows: dimension d owns rows whose index in d is dropped and
-    # whose indices in earlier dimensions are interior
-    roles = ["interior"] * int(np.prod(int_shape))
-    cond_rows = {"a": [], "b": []}
-    for side in ("a", "b"):
+    # dimension d owns the rows whose index in d is dropped and whose
+    # indices in earlier dimensions are interior
+    roles = ["interior"] * rhs.size
+    conds = []
+    for side, role in (("a", "initial"), ("b", "boundary")):
         for d in range(p):
-            conds = problem._faces[d, side]
-            if not conds:
-                continue
-            endpoint = 0 if side == "a" else shape[d] - 1
-            sel = tuple(
-                interior[dd] if dd < d else slice(None)
-                for dd in range(p)
-                if dd != d
-            )
-            other_shape = tuple(
-                int_shape[dd] if dd < d else shape[dd] for dd in range(p) if dd != d
-            )
-            env = {}
-            for pos, dd in enumerate(dd for dd in range(p) if dd != d):
-                xs = bases[dd].nodes.nodes[interior[dd]] if dd < d else bases[dd].nodes.nodes
-                reshape = [1] * (p - 1)
-                reshape[pos] = len(xs)
-                env[_coord_name(dd, p)] = np.broadcast_to(xs.reshape(reshape), other_shape)
-            for order, tree in conds:
-                mat = dmat(d, order)
-                row_vec = (
-                    np.eye(shape[d])[endpoint] if mat is None else mat[endpoint]
-                )
-                data = np.broadcast_to(
-                    np.asarray(exprlang.eval_expr(tree, env), dtype=float), other_shape
-                )
-                cond_rows[side].append((row_vec, d, sel, data))
-                roles.extend(
-                    ["initial" if side == "a" else "boundary"] * int(np.prod(other_shape))
-                )
+            end = 0 if side == "a" else shape[d] - 1
+            rows = interior[:d] + (slice(end, end + 1),) + (slice(None),) * (p - d - 1)
+            for order, tree in problem._faces[d, side]:
+                mats = tuple(dmat(d, order) if dd == d else None for dd in range(p))
+                conds.append(_Box(rows, mats, on_box(tree, _coords(bases, rows))))
+                roles += [role] * conds[-1].data.size
 
     system = CollocationSystem(
         problem=problem,
@@ -413,11 +405,11 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
         row_roles=roles,
         is_linear=detect_linear(problem),
         _shape=shape,
-        _derivs=derivs,
         _interior=interior,
-        _cond_rows=cond_rows["a"] + cond_rows["b"],
+        _derivs=derivs,
+        _conds=conds,
         _int_env=int_env,
-        _int_shape=int_shape,
+        _rhs=rhs,
     )
     if len(roles) != system.size:
         raise AssemblyError(
@@ -498,16 +490,16 @@ def _separable_blocks(system: CollocationSystem):
         return None
     rows = system._interior
     blocks = [np.zeros((r.stop - r.start,) * 2) for r in rows]
-    for _, mats, partial in system._derivs:
+    for _, box, partial in system._derivs:
         if exprlang.expr_variables(partial):
             return None
-        dims = [d for d, mat in enumerate(mats) if mat is not None]
+        dims = [d for d, mat in enumerate(box.mats) if mat is not None]
         if len(dims) > 1:
             return None
         c = float(exprlang.eval_expr(partial, {}))
         if dims:
             d = dims[0]
-            blocks[d] += c * mats[d][rows[d], rows[d]]
+            blocks[d] += c * box.mats[d][rows[d], rows[d]]
         else:
             blocks[0] += c * np.eye(len(blocks[0]))
     return blocks
@@ -516,18 +508,15 @@ def _separable_blocks(system: CollocationSystem):
 def _solve_diagonalised(system: CollocationSystem, blocks: list):
     """Fast diagonalisation (Lynch, Rice & Thomas 1964).
 
-    The boundary values come straight from the order-0 condition rows; the
+    The boundary values are the data of the order-0 condition boxes; the
     interior values solve ``sum_d A_d U = F`` through ``A_d = P_d diag(l_d)
     P_d^-1``.  Returns ``(u, residual_norm, cond_estimate)``, or ``None``
     when the spectra or the result fail the fallback checks.
     """
     grid = np.zeros(system._shape)
-    for row_vec, axis, sel, data in system._cond_rows:
-        index = list(sel)
-        index.insert(axis, int(np.argmax(row_vec)))
-        grid[tuple(index)] = data
+    for box in system._conds:
+        grid[box.rows] = box.data
     base = system.evaluate_residual(grid.ravel())
-    n_int = int(np.prod(system._int_shape))
     try:
         eigs = [np.linalg.eig(a) for a in blocks]
     except np.linalg.LinAlgError:
@@ -542,13 +531,13 @@ def _solve_diagonalised(system: CollocationSystem, blocks: list):
     if not lo > _SPREAD_MIN * hi:
         return None
 
-    x = -base[:n_int].reshape(system._int_shape)
+    x = -base[: total.size].reshape(total.shape)
     for d, (_, vec) in enumerate(eigs):
         x = _along(np.linalg.inv(vec), x, d)
     x /= total
     for d, (_, vec) in enumerate(eigs):
         x = _along(vec, x, d)
-    grid[tuple(system._interior)] = x
+    grid[system._interior] = x
     u = grid.ravel()
 
     res_norm = float(np.max(np.abs(system.evaluate_residual(u))))
@@ -727,11 +716,13 @@ def problem_from_config(cfg: dict) -> CollocationProblem:
 
 
 def bases_from_config(cfg: dict, n_override=None) -> list:
+    """One basis per dimension; without ``N`` every ``nodes`` entry needs ``values``."""
     dim = _config_dim(cfg)
+    n = cfg.get("N") if n_override is None else n_override
     entries = zip(
         _per_dim("family", cfg.get("family", {}), dim),
         _per_dim("nodes", cfg.get("nodes", {}), dim),
-        _per_dim("N", cfg["N"] if n_override is None else n_override, dim),
+        [None] * dim if n is None else _per_dim("N", n, dim),
         _per_dim("domains", cfg["domains"], dim),
     )
     return [basis_from_spec(*entry) for entry in entries]

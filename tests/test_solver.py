@@ -277,6 +277,17 @@ class TestRowBookkeeping:
         assert counts["boundary"] == (n + 1) + (n - 1)
         assert system.size == (n + 1) ** 2
 
+    def test_3d_counts(self):
+        # a 5x6x7 grid with order-0 conditions on all six faces: the a faces
+        # own 1*6*7 + 3*1*7 + 3*4*1 rows, and so do the b faces
+        conds = ("0",) * 6
+        bases = [build_basis("identity", n=n, a=0.0, b=1.0) for n in (4, 5, 6)]
+        system = assemble_collocation_nd(
+            dirichlet_problem("u_2,0,0 + u_0,2,0 + u_0,0,2", conds), bases
+        )
+        assert system.size == 210
+        assert system.row_roles == ["interior"] * 60 + ["initial"] * 75 + ["boundary"] * 75
+
     def test_first_order_counts(self):
         prob = bvp_problem(
             residual="du",
@@ -381,12 +392,32 @@ class TestLinearSolves:
             solve_system(system)
         assert exc.value.cond_estimate > 1e12
 
-    @pytest.mark.parametrize("case", ["1d-linear", "2d-nonlinear"])
+    @pytest.mark.parametrize("case", ["1d-linear", "2d-nonlinear", "3d-nonlinear"])
     def test_jacobian_matches_probed_matrix(self, case, rng):
         if case == "1d-linear":
             system = assemble_collocation_nd(
                 bvp_problem(), [build_basis("identity", n=5, a=0.0, b=1.0)]
             )
+        elif case == "3d-nonlinear":
+            # a non-cubic grid and an order-1 condition on b3, whose rows are
+            # interior in dimensions 1 and 2
+            faces = ["a1", "b1", "a2", "b2", "a3", "b3"]
+            exprs = ["x2*x3", "1", "x1", "x3^2", "x1 + x2", "x1*x2"]
+            prob = CollocationProblem(
+                domains=[(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)],
+                residual="u_2,0,0 + u_0,2,0 + u_0,0,2 + u*u_0,0,1 - x3*u^2",
+                rhs="x1",
+                conditions=[
+                    {"face": f, "order": int(f == "b3"), "expr": e} for f, e in zip(faces, exprs)
+                ],
+            )
+            bases = [
+                build_basis("rational", {"L": 1.0}, n=3, a=0.0, b=1.0),
+                build_basis("identity", n=4, a=-1.0, b=1.0),
+                build_basis("identity", n=5, a=0.0, b=2.0),
+            ]
+            system = assemble_collocation_nd(prob, bases)
+            assert system.is_linear is False
         else:
             # order-0 and order-1 conditions, a rational family in x1 and a
             # non-square grid, so a swapped axis or factor shows
@@ -418,6 +449,51 @@ class TestLinearSolves:
             ) / (2 * h)
         jac = system.evaluate_jacobian(u)
         assert np.max(np.abs(jac - probed)) < 1e-6 * (1.0 + np.max(np.abs(jac)))
+
+
+# linear problems whose condition boxes take a derivative matrix:
+# (domains, residual, rhs, [(face, order, expr)], per-dimension (kind, params, N))
+AFFINE_CASES = {
+    "1d-order-1": (
+        [(0.0, 1.0)], "d2u + x*du - 2*u", "sin(x)",
+        [("a1", 0, "1"), ("b1", 1, "-2")], [("rational", {"L": 1.0}, 9)],
+    ),
+    "2d-mixed-orders": (
+        [(0.0, 1.0), (-1.0, 1.0)], "u_2,0 + u_0,2 + x2*u_1,0 + u", "x1*x2",
+        [("a1", 0, "x2"), ("b1", 1, "1 + x2"), ("a2", 1, "x1"), ("b2", 0, "x1^2")],
+        [("identity", None, 7), ("identity", None, 6)],
+    ),
+    "3d-order-1-on-b3": (
+        [(0.0, 1.0)] * 3, "u_2,0,0 + u_0,2,0 + u_0,0,2 + x1*u_0,1,0", "1",
+        [("a1", 0, "x2"), ("b1", 0, "x3"), ("a2", 0, "x1"), ("b2", 0, "1"),
+         ("a3", 0, "x1*x2"), ("b3", 1, "x1 + x2")],
+        [("identity", None, 3), ("identity", None, 4), ("identity", None, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_linear_residual_is_the_jacobian_applied(case, rng):
+    """On a linear problem the residual and the Jacobian read the same boxes:
+    R(u) = J(0) u + R(0) to rounding."""
+    domains, residual, rhs, conds, dims = AFFINE_CASES[case]
+    prob = CollocationProblem(
+        domains=domains,
+        residual=residual,
+        rhs=rhs,
+        conditions=[{"face": f, "order": k, "expr": e} for f, k, e in conds],
+    )
+    bases = [
+        build_basis(kind, params, n=n, a=a, b=b)
+        for (kind, params, n), (a, b) in zip(dims, domains)
+    ]
+    system = assemble_collocation_nd(prob, bases)
+    assert system.is_linear is True
+    zero = np.zeros(system.size)
+    jac, base = system.evaluate_jacobian(zero), system.evaluate_residual(zero)
+    for u in (rng.uniform(-1.0, 1.0, system.size), np.linspace(-2.0, 3.0, system.size)):
+        res = system.evaluate_residual(u)
+        assert np.max(np.abs(res - (jac @ u + base))) <= 1e-12 * np.max(np.abs(res))
 
 
 def dirichlet_problem(residual, conds, rhs="0"):
@@ -796,6 +872,24 @@ class TestConfigs:
         cfg["N"] = 4
         with pytest.raises(InvalidParameterError, match="node values"):
             bases_from_config(cfg)
+
+    def test_node_values_need_no_n(self):
+        cfg = load_config("configs/poisson2d.json")
+        del cfg["N"]
+        cfg["nodes"] = [{"values": [0.0, 0.3, 0.5, 0.8, 1.0]}, {"values": [0.0, 0.4, 0.6, 1.0]}]
+        assert [b.size for b in bases_from_config(cfg)] == [5, 4]
+        assert [b.size for b in bases_from_config(cfg, n_override=[4, 3])] == [5, 4]
+        cfg = load_config("configs/sine_bvp.json")
+        del cfg["N"]
+        cfg["nodes"] = {"values": [0.0, 0.4, 0.7, 1.0]}
+        assert solve_config(cfg).interpolant.coeffs.shape == (4,)
+
+    def test_generated_nodes_without_n_name_the_rule(self):
+        cfg = load_config("configs/sine_bvp.json")
+        del cfg["N"]
+        with pytest.raises(InvalidParameterError, match="'nodes' without 'values' needs N"):
+            bases_from_config(cfg)
+        assert bases_from_config(cfg, n_override=6)[0].size == 7
 
     @pytest.mark.parametrize("n", [6, 8, 12])
     def test_heterogeneous_second_order_solve_fails_loudly(self, n):
