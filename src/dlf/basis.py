@@ -143,6 +143,30 @@ class PsiFamily:
 
         ``x`` may also be a 1-d array of points, giving shape ``(size, K)``.
         """
+        x = np.asarray(x)
+        out = self._values(x.reshape(1, -1), order)  # (size, K)
+        return out[:, 0] if x.ndim == 0 else out
+
+    def own_values(self, xs, order: int = 0) -> np.ndarray:
+        """``psi_i^(order)(x_i)`` for every ``i``, shape ``(size,)``.
+
+        Bit for bit the diagonal of ``values_at(xs, order)``, without
+        forming that ``(size, size)`` table.
+        """
+        xs = np.asarray(xs)
+        if xs.shape != (self.size,):
+            raise InvalidParameterError(
+                f"own_values needs {self.size} points, got shape {xs.shape}"
+            )
+        return self._values(xs[:, None], order)[:, 0]
+
+    def _values(self, x: np.ndarray, order: int) -> np.ndarray:
+        """``psi_i^(order)`` at ``x`` of shape ``(1, K)`` (every map at the same K
+        points) or ``(size, 1)`` (map ``i`` at point ``i``); shape ``(size, K)``.
+
+        The result is in C order: BLAS products of the cardinal table built
+        from it round differently in Fortran order.
+        """
         if order < 0:
             raise DerivativeOrderError(f"negative derivative order {order}")
         if order > self.max_derivative_order:
@@ -150,64 +174,57 @@ class PsiFamily:
                 f"derivative order {order} exceeds closed-form limit "
                 f"{self.max_derivative_order} for kind {self.kind!r}"
             )
-        x = np.asarray(x)
-        scalar = x.ndim == 0
-        pts = x.reshape(1) if scalar else x
-        out = self._values(pts, order)  # (size, K)
-        return out[:, 0] if scalar else out
-
-    def _values(self, pts: np.ndarray, order: int) -> np.ndarray:
         kind = self.kind
+        shape = (self.size, x.shape[1])
         if kind == "identity":
             if order == 0:
-                row = pts.astype(pts.dtype, copy=True)
+                row = x
             elif order == 1:
-                row = np.ones_like(pts)
+                row = np.ones_like(x)
             else:
-                row = np.zeros_like(pts)
-            return np.tile(row, (self.size, 1))
+                row = np.zeros_like(x)
+            return np.broadcast_to(row, shape).copy()
         if kind == "fractional":
             delta = self.params["delta"]
             coeff = 1.0
             for k in range(order):
                 coeff *= delta - k
             if coeff == 0.0:
-                return np.zeros((self.size, len(pts)), dtype=pts.dtype)
+                return np.zeros(shape, dtype=x.dtype)
             with np.errstate(all="ignore"):
-                row = coeff * np.power(pts, delta - order)
-            return np.tile(row, (self.size, 1))
+                row = coeff * np.power(x, delta - order)
+            return np.broadcast_to(row, shape).copy()
         if kind == "generalized":
             expr = self._deriv_expr(order)
             with np.errstate(all="ignore"):
-                row = np.broadcast_to(
-                    exprlang._eval(expr, {"x": pts}), pts.shape
-                ).astype(np.result_type(pts, float))
-            return np.tile(row, (self.size, 1))
+                row = exprlang._eval(expr, {"x": x})
+            return np.broadcast_to(row, shape).astype(np.result_type(x, float), order="C")
         if kind == "rational":
             L = self.params["L"][:, None]
-            shifted = pts[None, :] + L
+            shifted = x + L
             with np.errstate(all="ignore"):
                 if order == 0:
                     if self.params["variant"] == "x/(x+L)":
-                        return pts[None, :] / shifted
-                    return (pts[None, :] - L) / shifted
+                        return x / shifted
+                    return (x - L) / shifted
                 strength = L if self.params["variant"] == "x/(x+L)" else 2.0 * L
                 sign = 1.0 if order % 2 == 1 else -1.0
                 return sign * math.factorial(order) * strength / shifted ** (order + 1)
         if kind == "exponential":
             w = self.params["rates"][:, None]
-            return w ** order * np.exp(w * pts[None, :])
+            return w ** order * np.exp(w * x)
         if kind in ("fourier-sin", "fourier-cos"):
             w = self.params["freqs"][:, None]
-            phase = w * pts[None, :] + order * np.pi / 2
+            phase = w * x + order * np.pi / 2
             trig = np.sin if kind == "fourier-sin" else np.cos
             return w ** order * trig(phase)
         if kind == "mixed":
             split = self.params["split"]
+            x = np.broadcast_to(x, shape)
             w_exp = self.params["rates"][: split + 1, None]
             w_sin = self.params["freqs"][split + 1 :, None]
-            top = w_exp ** order * np.exp(w_exp * pts[None, :])
-            bottom = w_sin ** order * np.sin(w_sin * pts[None, :] + order * np.pi / 2)
+            top = w_exp ** order * np.exp(w_exp * x[: split + 1])
+            bottom = w_sin ** order * np.sin(w_sin * x[split + 1 :] + order * np.pi / 2)
             return np.concatenate([top, bottom], axis=0)
         raise UnsupportedKindError(f"unknown family kind {kind!r}")
 
@@ -539,7 +556,7 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
     if np.any(small):
         i = int(np.argmax(small))
         raise DegenerateDerivativeError(i, float(dpsi_own[i]), TAU_SEP)
-    d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
+    d2psi_own = psi.own_values(xs, order=2)
 
     # row j holds the off-diagonal entries of column j, in row order
     f_off = f_tab.T[off].reshape(size, size - 1)

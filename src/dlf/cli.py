@@ -12,6 +12,11 @@ a ``message``, and any structured detail the originating exception
 carries.  CSV numbers are written as ``%.16e`` (17 significant digits);
 JSON floats use Python's shortest round-trip ``repr``.  Flags override the
 matching config keys.
+
+Every artifact is written as a new file (``interp.write_artifact``): the
+path is unlinked and created again, so the file's mode comes from the
+umask and a symlink at the path is replaced, its target left untouched.  A
+write that fails leaves a partial file.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .interp import (
     interpolant_to_json,
     interpolate_1d,
     save_interpolant,
+    write_artifact,
 )
 from .solver import (
     SolveOptions,
@@ -80,8 +86,7 @@ def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_artifact(path, text)
 
 
 # ---------------------------------------------------------------------------

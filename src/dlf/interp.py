@@ -12,6 +12,7 @@ grid one dimension at a time (the dense tensor form of Trefethen,
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +188,27 @@ def interpolant_from_json(data: dict):
     return TensorInterpolant(bases=bases, coeffs=data["coeffs"])
 
 
+def write_artifact(path, text: str) -> None:
+    """Write ``text`` as a new file at ``path``: the one writer of every ``dlf`` artifact.
+
+    Whatever is at ``path`` is unlinked first: truncating an existing file and
+    writing it again costs several times as much on ext4.  So a symlink or hard
+    link at ``path`` is replaced by a regular file, its target left untouched,
+    and the new file's mode comes from the umask.  Where the directory forbids
+    the unlink, the file is rewritten in place instead.  A write that fails
+    leaves a partial file.
+    """
+    try:
+        os.unlink(path)
+    except (FileNotFoundError, PermissionError):
+        pass
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def save_interpolant(itp, path) -> None:
     """Write ``itp`` as one line of compact JSON (``json``'s C encoder) and a newline."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(interpolant_to_json(itp)) + "\n")
+    write_artifact(path, json.dumps(interpolant_to_json(itp)) + "\n")
 
 
 def load_interpolant(path):

@@ -197,6 +197,27 @@ def test_batched_kernel_matches_product_form(kind, rng):
         assert table[np.flatnonzero(basis.nodes.nodes == 0.0)[0], 0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [4, 16, 128])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_own_values_are_the_table_diagonal(kind, n):
+    kind, params, (a, b) = KIND_CASES[kind]
+    psi = make_psi_family(kind, params, size=n + 1)
+    xs = generate_nodes("cgl", n, a, b).nodes
+    for order in range(4):
+        table = psi.values_at(xs, order)
+        # C order: BLAS products of the cardinal table round differently in F order
+        assert table.flags.c_contiguous, order
+        own = psi.own_values(xs, order)
+        assert own.shape == (n + 1,)
+        assert own.tobytes() == np.diag(table).tobytes(), order
+
+
+def test_own_values_need_one_point_per_map():
+    psi = make_psi_family("exponential", {}, size=5)
+    with pytest.raises(InvalidParameterError, match="5 points"):
+        psi.own_values(np.linspace(0.0, 1.0, 4))
+
+
 _EVALUATORS = {
     "weight_eval": weight_eval,
     "dlf_eval": lambda basis, x: dlf_eval(basis, 3, x),

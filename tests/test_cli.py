@@ -607,6 +607,87 @@ class TestContourCheckCommand:
         assert stderr_json(err)["error"] == "usage"
 
 
+# every command that writes artifacts: its argv ("{}" is the output root) and its files
+ARTIFACT_COMMANDS = {
+    "basis": (["basis", "--N", "6", "--out", "{}/basis.csv"], ["basis.csv"]),
+    "diffmat": (["diffmat", "--N", "6", "--order", "2", "--out", "{}/d2.csv"], ["d2.csv"]),
+    "interp": (
+        ["interp", "--expr", "exp(x)", "--N", "6", "--samples", "9",
+         "--samples-out", "{}/samples.csv", "--out", "{}/itp.json"],
+        ["samples.csv", "itp.json"],
+    ),
+    "solve": (
+        ["solve", "--config", POISSON_CFG, "--N", "8", "--out", "{}/run"],
+        ["run/solution.json", "run/samples.csv", "run/residual_report.json"],
+    ),
+    "converge": (
+        ["converge", "--config", SINE_CFG, "--N", "4,8", "--out", "{}/conv.csv"],
+        ["conv.csv"],
+    ),
+    "contour-check": (
+        ["contour-check", "--N", "4", "--points", "5", "--panels", "64", "--out", "{}/c.csv"],
+        ["c.csv"],
+    ),
+}
+
+
+def write_artifacts(capsys, command, root):
+    """Run ``command`` with its outputs under ``root``; the bytes of each file it writes."""
+    argv, names = ARTIFACT_COMMANDS[command]
+    code, _, err = run_cli(capsys, *(arg.replace("{}", str(root)) for arg in argv))
+    assert code == 0, err
+    out = {}
+    for name in names:
+        data = (root / name).read_bytes()
+        if command == "converge":  # its assemble_ms and solve_ms columns are timings
+            data = b"\n".join(b",".join(ln.split(b",")[:2]) for ln in data.splitlines())
+        out[name] = data
+    return out
+
+
+class TestArtifactWrites:
+    @pytest.mark.parametrize("command", sorted(ARTIFACT_COMMANDS))
+    def test_rewrites_leave_the_bytes_of_a_fresh_run(self, capsys, tmp_path, command):
+        (tmp_path / "fresh").mkdir()
+        fresh = write_artifacts(capsys, command, tmp_path / "fresh")
+        again = tmp_path / "again"
+        for name, data in fresh.items():
+            (again / name).parent.mkdir(parents=True, exist_ok=True)
+            (again / name).write_bytes(data + b"stale tail\n" * 500)
+        assert write_artifacts(capsys, command, again) == fresh
+        assert write_artifacts(capsys, command, again) == fresh
+
+    @pytest.mark.parametrize(
+        "command,target", [("basis", "basis.csv"), ("solve", "run/solution.json")]
+    )
+    def test_directory_at_the_path_is_an_internal_error(self, capsys, tmp_path, command, target):
+        (tmp_path / target).mkdir(parents=True)
+        argv, _ = ARTIFACT_COMMANDS[command]
+        code, _, err = run_cli(capsys, *(arg.replace("{}", str(tmp_path)) for arg in argv))
+        assert code == 2
+        assert stderr_json(err)["error"] == "internal"
+
+    @pytest.mark.parametrize("command", ["basis", "interp", "contour-check"])
+    def test_missing_parent_directory_is_a_missing_file(self, capsys, tmp_path, command):
+        argv, _ = ARTIFACT_COMMANDS[command]
+        root = tmp_path / "absent"
+        code, _, err = run_cli(capsys, *(arg.replace("{}", str(root)) for arg in argv))
+        assert code == 1
+        assert stderr_json(err)["error"] == "missing-file"
+        assert not root.exists()
+
+    def test_symlink_at_the_path_is_replaced(self, capsys, tmp_path):
+        # documented behaviour change: a rewrite in place wrote through the link
+        (tmp_path / "fresh").mkdir()
+        fresh = write_artifacts(capsys, "basis", tmp_path / "fresh")
+        target = tmp_path / "target.csv"
+        target.write_text("keep me\n")
+        (tmp_path / "basis.csv").symlink_to(target)
+        assert write_artifacts(capsys, "basis", tmp_path) == fresh
+        assert not (tmp_path / "basis.csv").is_symlink()
+        assert target.read_text() == "keep me\n"
+
+
 def test_console_script_entry_point(tmp_path):
     exe = shutil.which("dlf")
     if exe is None:

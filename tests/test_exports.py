@@ -41,6 +41,26 @@ def test_absolute_imports_are_numpy_or_stdlib(path):
     assert outside == [], f"{path.name} imports {outside}; the runtime depends on numpy only"
 
 
+def _open_modes(path):
+    """The mode of every ``open(...)`` call in ``path`` (``"r"`` when not given)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else None
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), mode)
+            yield ast.literal_eval(mode) if mode is not None else "r"
+
+
+def test_one_writer_opens_files_for_writing():
+    # every artifact goes through interp.write_artifact, which unlinks and creates it
+    writes = [
+        path.name
+        for path in sorted(pathlib.Path(dlf.__file__).parent.glob("*.py"))
+        for mode in _open_modes(path)
+        if set(mode) & set("wax+")
+    ]
+    assert writes == ["interp.py"], f"write-mode open() calls in src/dlf: {writes}"
+
+
 def test_recurrence_gap_report_runs():
     script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "recurrence_gap_report.py"
     run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=120)

@@ -1,6 +1,7 @@
 """Interpolant wrappers, tensor-product evaluation, and JSON persistence."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dlf.interp import (
     interpolate_nd,
     load_interpolant,
     save_interpolant,
+    write_artifact,
 )
 
 from conftest import build_basis
@@ -291,6 +293,44 @@ def test_json_round_trip_semi_infinite_domain(tmp_path):
     back = load_interpolant(path)
     assert back.bases[0].nodes.domain == (0.0, float("inf"))
     assert eval_interpolant(back, 100.0) == eval_interpolant(itp, 100.0)
+
+
+def test_save_over_a_longer_file_leaves_the_bytes_of_a_fresh_save(tmp_path, rng):
+    itp = interpolate_1d(build_basis("identity", n=6), rng.normal(size=7))
+    save_interpolant(itp, tmp_path / "fresh.json")
+    fresh = (tmp_path / "fresh.json").read_bytes()
+    path = tmp_path / "again.json"
+    path.write_bytes(fresh * 50)
+    for _ in range(2):
+        save_interpolant(itp, path)
+        assert path.read_bytes() == fresh
+
+
+def test_written_file_takes_its_mode_from_the_umask(tmp_path):
+    # documented behaviour change: a rewrite in place kept the old file's mode
+    path = tmp_path / "a.csv"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    mask = os.umask(0o022)
+    try:
+        write_artifact(path, "new\n")
+    finally:
+        os.umask(mask)
+    assert path.read_text() == "new\n"
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
+def test_path_that_cannot_be_unlinked_is_rewritten_in_place(tmp_path, monkeypatch):
+    # a writable file in a directory that forbids the unlink is still written
+    path = tmp_path / "a.csv"
+    path.write_text("a much longer old text\n")
+
+    def refuse(target):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    write_artifact(path, "new\n")
+    assert path.read_text() == "new\n"
 
 
 def test_serialized_form_is_plain_data():
