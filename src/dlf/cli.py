@@ -13,10 +13,10 @@ carries.  CSV numbers are written as ``%.16e`` (17 significant digits);
 JSON floats use Python's shortest round-trip ``repr``.  Flags override the
 matching config keys.
 
-Every artifact is written as a new file (``interp.write_artifact``): the
-path is unlinked and created again, so the file's mode comes from the
-umask and a symlink at the path is replaced, its target left untouched.  A
-write that fails leaves a partial file.
+Every artifact goes through ``interp.write_artifact``: a regular file with
+one link at the path is unlinked and created again, so its mode comes from
+the umask; anything else there (a symlink, a device, a FIFO) is written
+through in place.  A write that fails leaves a partial file.
 """
 
 from __future__ import annotations

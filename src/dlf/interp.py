@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,16 +192,18 @@ def interpolant_from_json(data: dict):
 def write_artifact(path, text: str) -> None:
     """Write ``text`` as a new file at ``path``: the one writer of every ``dlf`` artifact.
 
-    Whatever is at ``path`` is unlinked first: truncating an existing file and
-    writing it again costs several times as much on ext4.  So a symlink or hard
-    link at ``path`` is replaced by a regular file, its target left untouched,
-    and the new file's mode comes from the umask.  Where the directory forbids
-    the unlink, the file is rewritten in place instead.  A write that fails
-    leaves a partial file.
+    A regular file with one link at ``path`` is unlinked first: truncating it
+    and writing it again costs several times as much on ext4, so the new file's
+    mode comes from the umask.  Anything else (a symlink, a hard-linked file, a
+    device, a FIFO), or a file the directory forbids to unlink, is written
+    through in place, as by ``open(path, "w")``.  A write that fails leaves a
+    partial file.
     """
     try:
-        os.unlink(path)
-    except (FileNotFoundError, PermissionError):
+        info = os.lstat(path)
+        if stat.S_ISREG(info.st_mode) and info.st_nlink == 1:
+            os.unlink(path)
+    except OSError:
         pass
     with open(path, "w") as fh:
         fh.write(text)

@@ -676,16 +676,16 @@ class TestArtifactWrites:
         assert stderr_json(err)["error"] == "missing-file"
         assert not root.exists()
 
-    def test_symlink_at_the_path_is_replaced(self, capsys, tmp_path):
-        # documented behaviour change: a rewrite in place wrote through the link
+    def test_symlink_at_the_path_is_written_through(self, capsys, tmp_path):
+        # only a regular file is replaced; a link (like /dev/stdout) is written through
         (tmp_path / "fresh").mkdir()
         fresh = write_artifacts(capsys, "basis", tmp_path / "fresh")
         target = tmp_path / "target.csv"
-        target.write_text("keep me\n")
+        target.write_text("a longer old text\n" * 50)
         (tmp_path / "basis.csv").symlink_to(target)
         assert write_artifacts(capsys, "basis", tmp_path) == fresh
-        assert not (tmp_path / "basis.csv").is_symlink()
-        assert target.read_text() == "keep me\n"
+        assert (tmp_path / "basis.csv").is_symlink()
+        assert target.read_bytes() == fresh["basis.csv"]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -51,7 +51,7 @@ def _open_modes(path):
 
 
 def test_one_writer_opens_files_for_writing():
-    # every artifact goes through interp.write_artifact, which unlinks and creates it
+    # every artifact goes through interp.write_artifact
     writes = [
         path.name
         for path in sorted(pathlib.Path(dlf.__file__).parent.glob("*.py"))

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -331,6 +333,41 @@ def test_path_that_cannot_be_unlinked_is_rewritten_in_place(tmp_path, monkeypatc
     monkeypatch.setattr(os, "unlink", refuse)
     write_artifact(path, "new\n")
     assert path.read_text() == "new\n"
+
+
+def test_hard_linked_file_is_written_through(tmp_path):
+    path, other = tmp_path / "a.csv", tmp_path / "b.csv"
+    path.write_text("a much longer old text\n")
+    os.link(path, other)
+    write_artifact(path, "new\n")
+    assert other.read_text() == "new\n"
+    assert path.stat().st_ino == other.stat().st_ino
+
+
+def test_fifo_at_the_path_is_written_through(tmp_path):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_text()), daemon=True)
+    reader.start()
+    write_artifact(path, "new\n")
+    reader.join(timeout=10)
+    assert got == ["new\n"]
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
+
+
+def test_device_at_the_path_is_written_through(tmp_path, monkeypatch):
+    # a character device (/dev/null, a tty) must not be unlinked; lstat reports one here
+    path = tmp_path / "dev"
+    path.write_text("a much longer old text\n")
+    real, unlinked = os.lstat, []
+    monkeypatch.setattr(
+        os, "lstat", lambda p: os.stat_result((stat.S_IFCHR | 0o666,) + tuple(real(p))[1:])
+    )
+    monkeypatch.setattr(os, "unlink", unlinked.append)
+    write_artifact(path, "new\n")
+    assert path.read_text() == "new\n"
+    assert unlinked == []
 
 
 def test_serialized_form_is_plain_data():
