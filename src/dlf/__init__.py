@@ -18,7 +18,6 @@ from .basis import (
     PsiFamily,
     basis_from_spec,
     dlf_eval,
-    dlf_eval_via_weight,
     dlf_limit,
     generate_nodes,
     lagrange_matrix,
@@ -116,7 +115,6 @@ __all__ = [
     "d1_matrix",
     "diff_expr",
     "dlf_eval",
-    "dlf_eval_via_weight",
     "dlf_limit",
     "dm_matrix",
     "dm_oracle_fd",

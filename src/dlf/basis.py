@@ -18,9 +18,7 @@ Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
 through one kernel, ``_cardinals``, which divides the full product by each
 term and by the cached node-gap products (factor by factor where a term
 is zero or tiny).  :func:`dlf_eval` forms the defining product above and
-is the reference the kernel is tested against; the ratio form ``mu_j *
-w(x) / (psi_j(x) - psi_j(x_j))`` (:func:`dlf_eval_via_weight`) is exact
-away from the nodes and kept as an independent cross-check.
+is the only reference the kernel is tested against.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -56,7 +54,6 @@ __all__ = [
     "basis_from_spec",
     "weight_eval",
     "dlf_eval",
-    "dlf_eval_via_weight",
     "lagrange_values",
     "lagrange_matrix",
     "dlf_limit",
@@ -132,12 +129,6 @@ class PsiFamily:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, i: int, x, order: int = 0):
-        """``psi_i`` or one of its derivatives at ``x`` (scalar, may be complex)."""
-        if not 0 <= i < self.size:
-            raise InvalidParameterError(f"map index {i} outside 0..{self.size - 1}")
-        return self.values_at(x, order)[i]
-
     def values_at(self, x, order: int = 0):
         """All ``psi_i^(order)(x)`` as an array of shape ``(size,)``.
 
@@ -147,22 +138,8 @@ class PsiFamily:
         out = self._values(x.reshape(1, -1), order)  # (size, K)
         return out[:, 0] if x.ndim == 0 else out
 
-    def own_values(self, xs, order: int = 0) -> np.ndarray:
-        """``psi_i^(order)(x_i)`` for every ``i``, shape ``(size,)``.
-
-        Bit for bit the diagonal of ``values_at(xs, order)``, without
-        forming that ``(size, size)`` table.
-        """
-        xs = np.asarray(xs)
-        if xs.shape != (self.size,):
-            raise InvalidParameterError(
-                f"own_values needs {self.size} points, got shape {xs.shape}"
-            )
-        return self._values(xs[:, None], order)[:, 0]
-
     def _values(self, x: np.ndarray, order: int) -> np.ndarray:
-        """``psi_i^(order)`` at ``x`` of shape ``(1, K)`` (every map at the same K
-        points) or ``(size, 1)`` (map ``i`` at point ``i``); shape ``(size, K)``.
+        """Every ``psi_i^(order)`` at the K points of ``x`` (shape ``(1, K)``): ``(size, K)``.
 
         The result is in C order: BLAS products of the cardinal table built
         from it round differently in Fortran order.
@@ -220,11 +197,10 @@ class PsiFamily:
             return w ** order * trig(phase)
         if kind == "mixed":
             split = self.params["split"]
-            x = np.broadcast_to(x, shape)
             w_exp = self.params["rates"][: split + 1, None]
             w_sin = self.params["freqs"][split + 1 :, None]
-            top = w_exp ** order * np.exp(w_exp * x[: split + 1])
-            bottom = w_sin ** order * np.sin(w_sin * x[split + 1 :] + order * np.pi / 2)
+            top = w_exp ** order * np.exp(w_exp * x)
+            bottom = w_sin ** order * np.sin(w_sin * x + order * np.pi / 2)
             return np.concatenate([top, bottom], axis=0)
         raise UnsupportedKindError(f"unknown family kind {kind!r}")
 
@@ -238,19 +214,13 @@ class PsiFamily:
 
     @property
     def is_homogeneous(self) -> bool:
-        """True when every index uses the same map (constants are reproduced)."""
-        if self.kind in ("identity", "fractional", "generalized"):
-            return True
-        if self.kind == "rational":
-            L = self.params["L"]
-            return bool(np.all(L == L[0]))
-        if self.kind == "exponential":
-            w = self.params["rates"]
-            return bool(np.all(w == w[0]))
-        if self.kind in ("fourier-sin", "fourier-cos"):
-            w = self.params["freqs"]
-            return bool(np.all(w == w[0]))
-        return False
+        """True when every index uses the same map (constants are reproduced).
+
+        That holds unless the kind is ``mixed`` or some per-index parameter
+        (``L``, ``rates``, ``freqs``) varies with the index.
+        """
+        per_index = [self.params[k] for k in ("L", "rates", "freqs") if k in self.params]
+        return self.kind != "mixed" and all(np.all(v == v[0]) for v in per_index)
 
     def pole_locations(self) -> np.ndarray:
         """Real singularities of the maps (rational kind only)."""
@@ -485,7 +455,7 @@ class DlfBasis:
     wprime_at_nodes: np.ndarray
     wsecond_at_nodes: np.ndarray
     # internal caches
-    _psi_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j)
+    _psi_own: np.ndarray = field(repr=False, default=None)  # psi_i(x_i)
     _f_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j) - psi_i(x_i)
     _denom_prod: np.ndarray = field(repr=False, default=None)
     _dpsi_own: np.ndarray = field(repr=False, default=None)  # psi_j'(x_j)
@@ -541,8 +511,8 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
             "(check the domain against the family kind)"
         )
 
-    own = np.diag(psi_tab)
-    f_tab = psi_tab - own[:, None]  # f_i(x_j) = psi_i(x_j) - psi_i(x_i)
+    psi_own = np.diag(psi_tab).copy()  # a view would keep the table alive
+    f_tab = psi_tab - psi_own[:, None]  # f_i(x_j) = psi_i(x_j) - psi_i(x_i)
     size = psi.size
     off = ~np.eye(size, dtype=bool)
     gaps = np.abs(f_tab)
@@ -556,7 +526,7 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
     if np.any(small):
         i = int(np.argmax(small))
         raise DegenerateDerivativeError(i, float(dpsi_own[i]), TAU_SEP)
-    d2psi_own = psi.own_values(xs, order=2)
+    d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
 
     # row j holds the off-diagonal entries of column j, in row order
     f_off = f_tab.T[off].reshape(size, size - 1)
@@ -579,7 +549,7 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
         mu=mu,
         wprime_at_nodes=wprime,
         wsecond_at_nodes=wsecond,
-        _psi_tab=psi_tab,
+        _psi_own=psi_own,
         _f_tab=f_tab,
         _denom_prod=denom_prod,
         _dpsi_own=dpsi_own,
@@ -638,7 +608,7 @@ def _terms(basis: DlfBasis, x) -> np.ndarray:
     """``psi_i(x) - psi_i(x_i)``: shape ``(size,)`` for scalar ``x``, else ``(size, K)``."""
     x = np.asarray(x)
     vals = basis.psi.values_at(x.astype(np.result_type(x, float), copy=False))
-    np.subtract(vals.T, np.diag(basis._psi_tab), out=vals.T)
+    np.subtract(vals.T, basis._psi_own, out=vals.T)
     return vals
 
 
@@ -665,20 +635,6 @@ def dlf_eval(basis: DlfBasis, j: int, x):
         factor = terms[i] / basis._f_tab[i, j]
         out = factor if out is None else out * factor
     return out
-
-
-def dlf_eval_via_weight(basis: DlfBasis, j: int, x):
-    """``L_j(x)`` through ``mu_j * w(x) / (psi_j(x) - psi_j(x_j))``.
-
-    Independent of :func:`dlf_eval` away from the nodes (where it is 0/0);
-    kept as a cross-check of the cached ``mu`` and weight quantities.
-    """
-    if not 0 <= j < basis.size:
-        raise InvalidParameterError(f"basis index {j} outside 0..{basis.size - 1}")
-    basis._check_point(x)
-    w = weight_eval(basis, x)
-    gap = basis.psi.value(j, x) - basis._psi_tab[j, j]
-    return basis.mu[j] * w / gap
 
 
 def lagrange_values(basis: DlfBasis, x) -> np.ndarray:
@@ -746,6 +702,6 @@ def dlf_limit(basis: DlfBasis, j: int) -> float:
         )
     if not 0 <= j < basis.size:
         raise InvalidParameterError(f"basis index {j} outside 0..{basis.size - 1}")
-    num = basis.psi.limit_values - np.diag(basis._psi_tab)
+    num = basis.psi.limit_values - basis._psi_own
     keep = np.arange(basis.size) != j
     return np.prod(num[keep] / basis._f_tab[keep, j])

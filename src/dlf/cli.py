@@ -159,6 +159,28 @@ def _basis_from_flags(args):
     return basis_from_spec(_family_from_flags(args), nodes, n, domain)
 
 
+def _x_function(basis, text: str, flag: str):
+    """The expression ``text`` in ``x`` alone as a function, and its values at the nodes."""
+    tree = exprlang.parse_expr(text)
+    unknown = exprlang.expr_variables(tree) - {"x"}
+    if unknown:
+        raise UsageError(f"{flag} may only reference 'x', found {sorted(unknown)}")
+
+    def fn(z):
+        return exprlang.eval_expr(tree, {"x": z})
+
+    ys = np.asarray(fn(basis.nodes.nodes), dtype=float)
+    return fn, np.broadcast_to(ys, (basis.size,)).copy()
+
+
+def _sample_points(basis, count: int) -> np.ndarray:
+    """``count`` equispaced points on the domain ``[a, b]``, or on ``[a, x_N]`` when ``b = inf``."""
+    if count < 0:
+        raise UsageError(f"sample count must be non-negative, got {count}")
+    a, b = basis.nodes.domain
+    return np.linspace(a, b if math.isfinite(b) else basis.nodes.nodes[-1], count)
+
+
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
     family = _family_from_flags(args)
@@ -211,18 +233,11 @@ def _cmd_diffmat(args) -> int:
 
 def _cmd_interp(args) -> int:
     basis = _basis_from_flags(args)
-    tree = exprlang.parse_expr(args.expr)
-    ys = np.asarray(
-        exprlang.eval_expr(tree, {"x": basis.nodes.nodes}), dtype=float
-    )
-    ys = np.broadcast_to(ys, (basis.size,)).copy()
-    interp = interpolate_1d(basis, ys)
+    interp = interpolate_1d(basis, _x_function(basis, args.expr, "--expr")[1])
+    xs = _sample_points(basis, args.samples) if args.samples else None
     if args.out:
         save_interpolant(interp, args.out)
-    if args.samples:
-        a, b = basis.nodes.domain
-        end = b if math.isfinite(b) else basis.nodes.nodes[-1]
-        xs = np.linspace(a, end, args.samples)
+    if xs is not None:
         us = eval_interpolant(interp, xs)
         _write_text(args.samples_out, "x,u\n" + _table(np.column_stack([xs, us])))
     if args.out:
@@ -290,11 +305,7 @@ def _max_error_vs_exact(cfg: dict, bases, result) -> float:
         raise UsageError("converge needs an 'exact' expression in the config")
     tree = exprlang.parse_expr(exact_src)
     dim = len(bases)
-    axes = []
-    for basis in bases:
-        a, b = basis.nodes.domain
-        end = b if math.isfinite(b) else basis.nodes.nodes[-1]
-        axes.append(np.linspace(a, end, 201 if dim == 1 else 41))
+    axes = [_sample_points(basis, 201 if dim == 1 else 41) for basis in bases]
     points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     env = {_coord_name(d, dim): points[:, d] for d in range(dim)}
     exact = np.asarray(exprlang.eval_expr(tree, env), dtype=float)
@@ -329,23 +340,11 @@ def _cmd_converge(args) -> int:
 
 def _cmd_contour_check(args) -> int:
     basis = _basis_from_flags(args)
-    tree = exprlang.parse_expr(args.u_expr)
-    unknown = exprlang.expr_variables(tree) - {"x"}
-    if unknown:
-        raise UsageError(f"--u-expr may only reference 'x', found {sorted(unknown)}")
-
-    def u_fn(z):
-        return exprlang.eval_expr(tree, {"x": z})
-
+    u_fn, ys = _x_function(basis, args.u_expr, "--u-expr")
     u = AnalyticFn(u_fn)
     contour = Contour(complex(args.center), args.radius, args.panels)
-    ys = np.asarray(u_fn(basis.nodes.nodes), dtype=float)
-    ys = np.broadcast_to(ys, (basis.size,)).copy()
     interp = interpolate_1d(basis, ys)
-
-    a, b = basis.nodes.domain
-    end = b if math.isfinite(b) else basis.nodes.nodes[-1]
-    xs = np.linspace(a, end, args.points)
+    xs = _sample_points(basis, args.points)
     table = np.empty((xs.size, 6))
     for i, x in enumerate(xs.tolist()):
         direct = eval_interpolant(interp, x)

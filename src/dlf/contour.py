@@ -223,7 +223,7 @@ def _panel(basis: DlfBasis, u, x, contour: Contour) -> _Panel:
     psi = basis.psi
     with np.errstate(all="ignore"):
         v0 = psi.values_at(zs)
-        wt = (v0 - np.diag(basis._psi_tab)[:, None]).prod(axis=0)
+        wt = (v0 - basis._psi_own[:, None]).prod(axis=0)
         ut = np.broadcast_to(u(zs), zs.shape)
         v1 = psi.values_at(zs, order=1)
     wx = complex(weight_eval(basis, x))

@@ -121,7 +121,7 @@ def dm_matrix(basis: DlfBasis, m: int) -> DiffMatrix:
     # p[k][i] = psi_i^(k+1)(x_i); validate_basis caches the first two and keeps
     # the slope p[0] away from 0
     p = [basis._dpsi_own, basis._d2psi_own] + [
-        basis.psi.own_values(xs, order=k + 1) for k in range(2, m)
+        np.diag(basis.psi.values_at(xs, order=k + 1)) for k in range(2, m)
     ]
     size = basis.size
     pinv_d1 = (1.0 / p[0])[:, None] * d1.entries

@@ -7,6 +7,23 @@ from dlf.basis import generate_nodes, make_psi_family, validate_basis
 settings.register_profile("dlf", deadline=None, max_examples=60)
 settings.load_profile("dlf")
 
+# kind, params, domain; every kind is exercised, heterogeneous ones last
+FAMILY_CASES = [
+    ("identity", {}, (-1.0, 1.0)),
+    ("fractional", {"delta": 2.0}, (0.5, 2.5)),
+    ("fractional", {"delta": 1.5}, (0.5, 2.5)),
+    ("generalized", {"expr": "x^3 + x"}, (-1.0, 1.0)),
+    ("rational", {"L": 1.0}, (0.0, 1.0)),
+    ("rational", {"L": 2.0, "variant": "(x-L)/(x+L)"}, (0.0, 3.0)),
+    ("exponential", {"rates": 0.5}, (0.0, 1.0)),
+    ("fourier-sin", {"freqs": 1.2}, (0.1, 1.2)),
+    ("fourier-cos", {"freqs": 1.0}, (0.2, 2.8)),
+    ("mixed", {"split": 4, "rates": 0.3, "freqs": 1.1}, (0.1, 0.9)),
+]
+HOMOGENEOUS_CASES = [s for s in FAMILY_CASES if s[0] != "mixed"]
+# first case of every kind, for tests that run once per kind
+KIND_CASES = {case[0]: case for case in reversed(FAMILY_CASES)}
+
 
 def build_basis(kind="identity", params=None, n=8, a=-1.0, b=1.0, scheme="cgl"):
     """One-stop basis factory used across the suite."""

@@ -14,7 +14,6 @@ from dlf.basis import (
     NodeSet,
     basis_from_spec,
     dlf_eval,
-    dlf_eval_via_weight,
     dlf_limit,
     generate_nodes,
     lagrange_matrix,
@@ -31,22 +30,7 @@ from dlf.errors import (
     UnsupportedKindError,
 )
 
-from conftest import build_basis
-
-# kind, params, domain; every kind is exercised, heterogeneous ones last
-FAMILY_CASES = [
-    ("identity", {}, (-1.0, 1.0)),
-    ("fractional", {"delta": 2.0}, (0.5, 2.5)),
-    ("fractional", {"delta": 1.5}, (0.5, 2.5)),
-    ("generalized", {"expr": "x^3 + x"}, (-1.0, 1.0)),
-    ("rational", {"L": 1.0}, (0.0, 1.0)),
-    ("rational", {"L": 2.0, "variant": "(x-L)/(x+L)"}, (0.0, 3.0)),
-    ("exponential", {"rates": 0.5}, (0.0, 1.0)),
-    ("fourier-sin", {"freqs": 1.2}, (0.1, 1.2)),
-    ("fourier-cos", {"freqs": 1.0}, (0.2, 2.8)),
-    ("mixed", {"split": 4, "rates": 0.3, "freqs": 1.1}, (0.1, 0.9)),
-]
-HOMOGENEOUS_CASES = [s for s in FAMILY_CASES if s[0] != "mixed"]
+from conftest import FAMILY_CASES, HOMOGENEOUS_CASES, KIND_CASES, build_basis
 
 
 def square_map_basis():
@@ -145,32 +129,12 @@ def test_partition_fails_for_mixed_maps():
     assert defect > 1e-2
 
 
-@given(
-    case=st.sampled_from(FAMILY_CASES),
-    t=st.floats(min_value=0.05, max_value=0.95),
-)
-def test_product_and_ratio_forms_agree(case, t):
-    kind, params, (a, b) = case
-    basis = build_basis(kind, params, n=6, a=a, b=b)
-    x = a + (b - a) * t
-    if np.min(np.abs(x - basis.nodes.nodes)) < 1e-6 * (b - a):
-        return  # the ratio form is 0/0 at the nodes
-    for j in (0, 3, 6):
-        direct = dlf_eval(basis, j, x)
-        via_weight = dlf_eval_via_weight(basis, j, x)
-        assert via_weight == pytest.approx(direct, rel=1e-9, abs=1e-11)
-
-
 def test_lagrange_matrix_columns_match_pointwise_eval(rng):
     basis = build_basis("rational", {"L": 2.0}, n=7, a=0.0, b=2.0)
     xs = rng.uniform(0.0, 2.0, 6)
     table = lagrange_matrix(basis, xs)
     for k, x in enumerate(xs):
         np.testing.assert_allclose(table[:, k], lagrange_values(basis, x), rtol=1e-12)
-
-
-# first case of every kind, for tests that run once per kind
-KIND_CASES = {case[0]: case for case in reversed(FAMILY_CASES)}
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -201,27 +165,52 @@ def test_batched_kernel_matches_product_form(kind, rng):
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_own_values_are_the_table_diagonal(kind, n):
     kind, params, (a, b) = KIND_CASES[kind]
-    psi = make_psi_family(kind, params, size=n + 1)
-    xs = generate_nodes("cgl", n, a, b).nodes
-    for order in range(4):
-        table = psi.values_at(xs, order)
-        # C order: BLAS products of the cardinal table round differently in F order
+    basis = build_basis(kind, params, n=n, a=a, b=b)
+    owns = [basis._psi_own, basis._dpsi_own, basis._d2psi_own, None]
+    for order, own in enumerate(owns):
+        table = basis.psi.values_at(basis.nodes.nodes, order)
+        assert table.shape == (n + 1, n + 1)
+        # BLAS products of the cardinal table round differently in F order
         assert table.flags.c_contiguous, order
-        own = psi.own_values(xs, order)
-        assert own.shape == (n + 1,)
-        assert own.tobytes() == np.diag(table).tobytes(), order
+        if own is not None:
+            assert own.tobytes() == np.diag(table).tobytes(), order
 
 
-def test_own_values_need_one_point_per_map():
-    psi = make_psi_family("exponential", {}, size=5)
-    with pytest.raises(InvalidParameterError, match="5 points"):
-        psi.own_values(np.linspace(0.0, 1.0, 4))
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_basis_holds_one_square_table(kind):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=16, a=a, b=b)
+    square = [
+        name
+        for name, value in vars(basis).items()
+        if isinstance(value, np.ndarray) and value.shape == (17, 17)
+    ]
+    assert square == ["_f_tab"]
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("rational", "L"), ("exponential", "rates"), ("fourier-sin", "freqs"), ("fourier-cos", "freqs")],
+)
+def test_homogeneous_exactly_when_per_index_parameters_are_equal(kind, key):
+    def homogeneous(values):
+        return make_psi_family(kind, {key: values}, size=5).is_homogeneous
+
+    assert homogeneous(0.7) and homogeneous([0.7] * 5)
+    assert not homogeneous([0.7, 0.7, 0.7, 0.7, 0.8])
+    assert not homogeneous(np.arange(1.0, 6.0))
+    if kind != "rational":  # the default rates and freqs are 1..N+1
+        assert not make_psi_family(kind, {}, size=5).is_homogeneous
+
+
+def test_mixed_is_never_homogeneous():
+    fam = make_psi_family("mixed", {"split": 2, "rates": 1.0, "freqs": 1.0}, size=5)
+    assert not fam.is_homogeneous
 
 
 _EVALUATORS = {
     "weight_eval": weight_eval,
     "dlf_eval": lambda basis, x: dlf_eval(basis, 3, x),
-    "dlf_eval_via_weight": lambda basis, x: dlf_eval_via_weight(basis, 3, x),
 }
 
 
@@ -561,4 +550,4 @@ def test_basis_index_bounds():
     with pytest.raises(InvalidParameterError):
         dlf_eval(basis, 5, 0.0)
     with pytest.raises(InvalidParameterError):
-        dlf_eval_via_weight(basis, -1, 0.0)
+        dlf_eval(basis, -1, 0.0)

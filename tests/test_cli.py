@@ -371,7 +371,17 @@ class TestInterpCommand:
 
     def test_unknown_symbol_in_expr(self, capsys):
         code, _, err = run_cli(capsys, "interp", "--expr", "sin(y)")
-        assert code == 2
+        assert code == 1
+        assert stderr_json(err)["error"] == "usage"
+
+    def test_negative_sample_count_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "itp.json"
+        code, _, err = run_cli(
+            capsys, "interp", "--expr", "x", "--samples", "-3", "--out", str(target)
+        )
+        assert code == 1
+        assert stderr_json(err)["error"] == "usage"
+        assert not target.exists()
 
 
 class TestSolveCommand:
@@ -603,6 +613,11 @@ class TestContourCheckCommand:
         code, _, err = run_cli(
             capsys, "contour-check", "--N", "4", "--u-expr", "exp(t)"
         )
+        assert code == 1
+        assert stderr_json(err)["error"] == "usage"
+
+    def test_negative_point_count_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "contour-check", "--N", "4", "--points", "-1")
         assert code == 1
         assert stderr_json(err)["error"] == "usage"
 

@@ -328,7 +328,7 @@ def smooth_u(z):
 
 def scalar_reference(basis, u, x, contour, error):
     """The averaged j-form, one panel point and one index ``j`` at a time."""
-    own = np.diag(basis._psi_tab)
+    own = basis._psi_own
     psi_x = basis.psi.values_at(x)
     wx = complex(np.prod(psi_x - own))
     zs = contour.panel_points(_safe_phase(contour, np.append(basis.nodes.nodes, x)))

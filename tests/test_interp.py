@@ -32,8 +32,7 @@ from dlf.interp import (
     write_artifact,
 )
 
-from conftest import build_basis
-from test_basis import KIND_CASES
+from conftest import KIND_CASES, build_basis
 
 
 def runge(x):
