@@ -232,6 +232,8 @@ def _cmd_diffmat(args) -> int:
 
 
 def _cmd_interp(args) -> int:
+    if args.samples_out and not args.samples:
+        raise UsageError("--samples-out needs --samples with a positive count")
     basis = _basis_from_flags(args)
     interp = interpolate_1d(basis, _x_function(basis, args.expr, "--expr")[1])
     xs = _sample_points(basis, args.samples) if args.samples else None

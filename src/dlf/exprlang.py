@@ -487,7 +487,7 @@ def _prec(expr: Expr) -> int:
 def _fmt(expr: Expr, *, is_child: bool = False) -> str:
     if isinstance(expr, Num):
         text = repr(expr.value)
-        if expr.value < 0 and is_child:
+        if text.startswith("-") and is_child:  # -0.0 too, which is not < 0
             return f"({text})"
         return text
     if isinstance(expr, Const):

@@ -36,7 +36,7 @@ import json
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -229,8 +229,10 @@ def detect_linear(problem: CollocationProblem) -> bool:
 
 
 def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """``mat`` applied to every fibre of ``arr`` along ``axis``."""
-    return np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    """``mat`` applied to every fibre of ``arr`` along ``axis``, as one matrix product."""
+    fibres = arr.swapaxes(0, axis)
+    out = mat @ fibres.reshape(fibres.shape[0], -1)
+    return out.reshape(mat.shape[:1] + fibres.shape[1:]).swapaxes(0, axis)
 
 
 class _Box(NamedTuple):
@@ -255,8 +257,7 @@ def _kron(box: _Box, shape: tuple) -> np.ndarray:
         (np.eye(n) if mat is None else mat)[rows]
         for n, mat, rows in zip(shape, box.mats, box.rows)
     ]
-    # the ones seed makes the product a fresh array, safe to scale in place
-    return reduce(np.kron, factors, np.ones((1, 1)))
+    return reduce(np.kron, factors)
 
 
 def _coords(bases, rows) -> dict:
@@ -308,21 +309,32 @@ class CollocationSystem:
         pieces = [res] + [_apply(box, grid) - box.data for box in self._conds]
         return np.concatenate([piece.ravel() for piece in pieces])
 
+    @cached_property
+    def _kron_rows(self):
+        """The Kronecker rows of each interior box, in ``_derivs`` order, and
+        the condition rows stacked in row order.  Formed on the first Jacobian,
+        not at assembly: the diagonalised route never needs them."""
+        interior = [_kron(box, self._shape) for _, box, _ in self._derivs]
+        conds = [np.empty((0, self.size))] + [_kron(box, self._shape) for box in self._conds]
+        return interior, np.concatenate(conds)
+
     def evaluate_jacobian(self, u_flat: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of the residual at ``u_flat``.
+        """Exact Jacobian of the residual at ``u_flat``, a fresh array.
 
         Interior rows are ``sum_s diag(dR/ds) kron_d D_d^(k_s)`` over the
         u-symbols ``s``, restricted to the interior rows of each factor;
-        condition rows are the Kronecker rows of their boxes.
+        condition rows are the Kronecker rows of their boxes.  Those rows are
+        formed once per system, on its first Jacobian, and kept.
         """
         _, env = self._grid_and_env(u_flat)
-        interior = np.zeros((self._rhs.size, self.size))
-        for _, box, partial in self._derivs:
-            block = _kron(box, self._shape)
+        kron_int, kron_conds = self._kron_rows
+        jac = np.zeros((self.size, self.size))
+        interior = jac[: self._rhs.size]
+        for (_, _, partial), rows in zip(self._derivs, kron_int):
             vals = np.asarray(exprlang.eval_expr(partial, env), dtype=float)
-            block *= np.broadcast_to(vals, self._rhs.shape).reshape(-1, 1)
-            interior += block
-        return np.concatenate([interior] + [_kron(box, self._shape) for box in self._conds])
+            interior += np.broadcast_to(vals, self._rhs.shape).reshape(-1, 1) * rows
+        jac[self._rhs.size :] = kron_conds
+        return jac
 
 
 def _is_face(node: float, face: float) -> bool:

@@ -383,6 +383,17 @@ class TestInterpCommand:
         assert stderr_json(err)["error"] == "usage"
         assert not target.exists()
 
+    @pytest.mark.parametrize("samples", [[], ["--samples", "0"]])
+    def test_samples_out_needs_a_sample_count(self, capsys, tmp_path, samples):
+        csv, target = tmp_path / "never.csv", tmp_path / "itp.json"
+        code, _, err = run_cli(
+            capsys, "interp", "--expr", "x", "--N", "3", *samples,
+            "--samples-out", str(csv), "--out", str(target),
+        )
+        assert code == 1
+        assert stderr_json(err)["error"] == "usage"
+        assert not csv.exists() and not target.exists()
+
 
 class TestSolveCommand:
     def test_sine_bvp_report(self, capsys):

@@ -8,7 +8,7 @@ symbols that have no numeric binding here.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dlf import exprlang
 from dlf.exprlang import (
@@ -273,5 +273,6 @@ def _extend(children):
 
 
 @given(st.recursive(_leaves, _extend, max_leaves=12))
+@example(BinOp("^", Num(-0.0), Num(0.0)))  # printed "-0.0^0.0", read back as -(0.0^0.0)
 def test_format_parse_round_trip_random_trees(tree):
     assert parse_expr(format_expr(tree)) == tree

@@ -9,6 +9,7 @@ import pytest
 
 from dlf import solver
 from dlf.basis import NodeSet, make_psi_family, validate_basis
+from dlf.diffmat import dm_matrix
 from dlf.errors import (
     AssemblyError,
     DlfError,
@@ -392,12 +393,17 @@ class TestLinearSolves:
             solve_system(system)
         assert exc.value.cond_estimate > 1e12
 
-    @pytest.mark.parametrize("case", ["1d-linear", "2d-nonlinear", "3d-nonlinear"])
+    @pytest.mark.parametrize(
+        "case", ["1d-linear", "2d-nonlinear", "3d-nonlinear", "1d-condition-free"]
+    )
     def test_jacobian_matches_probed_matrix(self, case, rng):
         if case == "1d-linear":
-            system = assemble_collocation_nd(
-                bvp_problem(), [build_basis("identity", n=5, a=0.0, b=1.0)]
-            )
+            prob = bvp_problem()
+            bases = [build_basis("identity", n=5, a=0.0, b=1.0)]
+        elif case == "1d-condition-free":
+            # no condition rows: the stacked condition block is empty
+            prob = bvp_problem(residual="u^3 - x", rhs="0", domains=[(1.0, 2.0)], conditions=[])
+            bases = [build_basis("identity", n=6, a=1.0, b=2.0)]
         elif case == "3d-nonlinear":
             # a non-cubic grid and an order-1 condition on b3, whose rows are
             # interior in dimensions 1 and 2
@@ -416,8 +422,6 @@ class TestLinearSolves:
                 build_basis("identity", n=4, a=-1.0, b=1.0),
                 build_basis("identity", n=5, a=0.0, b=2.0),
             ]
-            system = assemble_collocation_nd(prob, bases)
-            assert system.is_linear is False
         else:
             # order-0 and order-1 conditions, a rational family in x1 and a
             # non-square grid, so a swapped axis or factor shows
@@ -436,8 +440,8 @@ class TestLinearSolves:
                 build_basis("rational", {"L": 1.0}, n=5, a=0.0, b=1.0),
                 build_basis("identity", n=4, a=0.0, b=1.0),
             ]
-            system = assemble_collocation_nd(prob, bases)
-            assert system.is_linear is False
+        system = assemble_collocation_nd(prob, bases)
+        assert system.is_linear is (case == "1d-linear")
         u = rng.uniform(-1.0, 1.0, system.size)
         h = 1e-6
         probed = np.empty((system.size, system.size))
@@ -449,6 +453,67 @@ class TestLinearSolves:
             ) / (2 * h)
         jac = system.evaluate_jacobian(u)
         assert np.max(np.abs(jac - probed)) < 1e-6 * (1.0 + np.max(np.abs(jac)))
+
+        # the rows kept from the first call serve a second u exactly as a
+        # freshly assembled system would, and no returned array aliases them
+        v = rng.uniform(-1.0, 1.0, system.size)
+        fresh = assemble_collocation_nd(prob, bases).evaluate_jacobian(v)
+        again = system.evaluate_jacobian(v)
+        assert again.tobytes() == fresh.tobytes()
+        again.fill(np.nan)
+        assert system.evaluate_jacobian(v).tobytes() == fresh.tobytes()
+        if case == "1d-condition-free":
+            result = solve_system(system, SolveOptions(initial_guess=np.ones(system.size)))
+            assert result.iterations == 5
+            assert result.residual_norm <= SolveOptions().tol
+
+
+@pytest.mark.parametrize("rows", ["square", "interior"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["identity", "rational"])
+def test_along_matches_the_tensordot_reference(kind, dim, rows, rng):
+    # one basis per dimension, each of another size, so a wrong axis shows
+    params = {"L": 1.0} if kind == "rational" else None
+    mats = []
+    for n in (4, 5, 6)[:dim]:
+        entries = dm_matrix(build_basis(kind, params, n=n, a=0.0, b=1.0), 2).entries
+        mats.append(entries if rows == "square" else entries[1:-1])
+    grid = rng.uniform(-1.0, 1.0, [m.shape[1] for m in mats])
+
+    def reference(mat, arr, axis):
+        return np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+
+    chained = expected = grid
+    for axis, mat in enumerate(mats):
+        out, ref = solver._along(mat, grid, axis), reference(mat, grid, axis)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        # as in ``_apply``: later axes act on the non-contiguous earlier result
+        chained, expected = solver._along(mat, chained, axis), reference(mat, expected, axis)
+        assert chained.shape == expected.shape and chained.tobytes() == expected.tobytes()
+
+
+def test_kronecker_rows_are_formed_once_per_system(monkeypatch):
+    calls = []
+    kron = solver._kron
+
+    def counting_kron(box, shape):
+        calls.append(box)
+        return kron(box, shape)
+
+    monkeypatch.setattr(solver, "_kron", counting_kron)
+    riccati = bvp_problem(
+        residual="du - u^2", rhs="0", domains=[(0.0, 0.5)],
+        conditions=[{"face": "a1", "order": 0, "expr": "1"}],
+    )
+    system = assemble_collocation_nd(riccati, [build_basis("identity", n=16, a=0.0, b=0.5)])
+    assert calls == []
+    # 7 Jacobians, and one call for each box: du, u and the condition
+    assert solve_system(system, SolveOptions(tol=1e-10)).iterations == 7
+    assert len(calls) == 3
+    # the diagonalised route forms none, at assembly or at solve
+    calls.clear()
+    assert solve_system(poisson2d_system([16, 16])).route == "diagonalised"
+    assert calls == []
 
 
 # linear problems whose condition boxes take a derivative matrix:
