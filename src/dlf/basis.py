@@ -17,8 +17,10 @@ the nodes, and the scale factors ``mu_j``).
 Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
 through one kernel, ``_cardinals``, which divides the full product by each
 term and by the cached node-gap products (factor by factor where a term
-is zero or tiny).  :func:`dlf_eval` forms the defining product above and
-is the only reference the kernel is tested against.
+is zero or tiny); :func:`lagrange_matrix` feeds it cache-sized blocks of
+points.  A family whose indices share one map (:attr:`PsiFamily.is_homogeneous`)
+evaluates that map once per point.  :func:`dlf_eval` forms the defining
+product above and is the only reference the kernel is tested against.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -77,6 +79,10 @@ FAMILY_KINDS = (
 
 _RATIONAL_VARIANTS = ("x/(x+L)", "(x-L)/(x+L)")
 
+#: entries per block of a cardinal table (512 KB), so that a block's
+#: temporaries stay in a 2 MB L2 cache
+_BLOCK_ENTRIES = 2**16
+
 # practical cap for kinds whose derivatives exist in closed form at any order
 _UNBOUNDED_ORDER = 100
 
@@ -126,6 +132,13 @@ class PsiFamily:
     max_derivative_order: int = _UNBOUNDED_ORDER
     # cached derivative expressions for the generalized kind
     _deriv_chain: list = field(default_factory=list, repr=False)
+    _homogeneous: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        per_index = [self.params[k] for k in ("L", "rates", "freqs") if k in self.params]
+        self._homogeneous = self.kind != "mixed" and all(
+            np.all(v == v[0]) for v in per_index
+        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -133,16 +146,21 @@ class PsiFamily:
         """All ``psi_i^(order)(x)`` as an array of shape ``(size,)``.
 
         ``x`` may also be a 1-d array of points, giving shape ``(size, K)``.
+        A homogeneous family evaluates its one map once per point and
+        returns a read-only broadcast view of that row (stride 0 along the
+        index axis): copy it before writing.
         """
         x = np.asarray(x)
-        out = self._values(x.reshape(1, -1), order)  # (size, K)
+        out = self._values(x.reshape(1, -1), order)  # (size, K) or the shared (1, K)
+        if self._homogeneous:
+            out = np.broadcast_to(out, (self.size, out.shape[1]))
         return out[:, 0] if x.ndim == 0 else out
 
     def _values(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Every ``psi_i^(order)`` at the K points of ``x`` (shape ``(1, K)``): ``(size, K)``.
+        """Every ``psi_i^(order)`` at the K points of ``x`` (shape ``(1, K)``).
 
-        The result is in C order: BLAS products of the cardinal table built
-        from it round differently in Fortran order.
+        A homogeneous family gives its one row, shape ``(1, K)``, from the
+        first index's parameters; any other gives the ``(size, K)`` table.
         """
         if order < 0:
             raise DerivativeOrderError(f"negative derivative order {order}")
@@ -152,32 +170,27 @@ class PsiFamily:
                 f"{self.max_derivative_order} for kind {self.kind!r}"
             )
         kind = self.kind
-        shape = (self.size, x.shape[1])
+        rows = slice(0, 1) if self._homogeneous else slice(None)
         if kind == "identity":
             if order == 0:
-                row = x
-            elif order == 1:
-                row = np.ones_like(x)
-            else:
-                row = np.zeros_like(x)
-            return np.broadcast_to(row, shape).copy()
+                return x.copy()  # the caller's points must not show through
+            return np.ones_like(x) if order == 1 else np.zeros_like(x)
         if kind == "fractional":
             delta = self.params["delta"]
             coeff = 1.0
             for k in range(order):
                 coeff *= delta - k
             if coeff == 0.0:
-                return np.zeros(shape, dtype=x.dtype)
+                return np.zeros_like(x)
             with np.errstate(all="ignore"):
-                row = coeff * np.power(x, delta - order)
-            return np.broadcast_to(row, shape).copy()
+                return coeff * np.power(x, delta - order)
         if kind == "generalized":
             expr = self._deriv_expr(order)
             with np.errstate(all="ignore"):
                 row = exprlang._eval(expr, {"x": x})
-            return np.broadcast_to(row, shape).astype(np.result_type(x, float), order="C")
+            return np.broadcast_to(row, x.shape).astype(np.result_type(x, float))
         if kind == "rational":
-            L = self.params["L"][:, None]
+            L = self.params["L"][rows, None]
             shifted = x + L
             with np.errstate(all="ignore"):
                 if order == 0:
@@ -188,10 +201,10 @@ class PsiFamily:
                 sign = 1.0 if order % 2 == 1 else -1.0
                 return sign * math.factorial(order) * strength / shifted ** (order + 1)
         if kind == "exponential":
-            w = self.params["rates"][:, None]
+            w = self.params["rates"][rows, None]
             return w ** order * np.exp(w * x)
         if kind in ("fourier-sin", "fourier-cos"):
-            w = self.params["freqs"][:, None]
+            w = self.params["freqs"][rows, None]
             phase = w * x + order * np.pi / 2
             trig = np.sin if kind == "fourier-sin" else np.cos
             return w ** order * trig(phase)
@@ -217,10 +230,10 @@ class PsiFamily:
         """True when every index uses the same map (constants are reproduced).
 
         That holds unless the kind is ``mixed`` or some per-index parameter
-        (``L``, ``rates``, ``freqs``) varies with the index.
+        (``L``, ``rates``, ``freqs``) varies with the index.  Decided once,
+        when the family is built.
         """
-        per_index = [self.params[k] for k in ("L", "rates", "freqs") if k in self.params]
-        return self.kind != "mixed" and all(np.all(v == v[0]) for v in per_index)
+        return self._homogeneous
 
     def pole_locations(self) -> np.ndarray:
         """Real singularities of the maps (rational kind only)."""
@@ -608,8 +621,10 @@ def _terms(basis: DlfBasis, x) -> np.ndarray:
     """``psi_i(x) - psi_i(x_i)``: shape ``(size,)`` for scalar ``x``, else ``(size, K)``."""
     x = np.asarray(x)
     vals = basis.psi.values_at(x.astype(np.result_type(x, float), copy=False))
-    np.subtract(vals.T, basis._psi_own, out=vals.T)
-    return vals
+    # a shared map's broadcast row is read-only; the cardinal table must be C order
+    out = vals if vals.flags.writeable else np.empty_like(vals, order="C")
+    np.subtract(vals.T, basis._psi_own, out=out.T)
+    return out
 
 
 def weight_eval(basis: DlfBasis, x):
@@ -646,9 +661,12 @@ def lagrange_values(basis: DlfBasis, x) -> np.ndarray:
 
 
 def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
-    """Basis functions on many points: shape ``(size, len(xs))``.
+    """Basis functions on many points: shape ``(size, len(xs))``, in C order.
 
     ``xs`` must be a non-empty 1-d array; use :func:`lagrange_values` for one point.
+    The table is formed one block of points at a time, each block's table
+    holding at most 2**16 entries; every column is independent, so the
+    blocks change no bit.
     """
     xs = np.asarray(xs)
     if xs.ndim != 1 or xs.size == 0:
@@ -656,13 +674,23 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
             f"lagrange_matrix needs a non-empty 1-d array of points, got shape {xs.shape}"
         )
     basis._check_point(xs)
-    return _cardinals(basis, _terms(basis, xs))
+    step = _BLOCK_ENTRIES // basis.size
+    if xs.size <= step:
+        return _cardinals(basis, _terms(basis, xs))
+    out = np.empty((basis.size, xs.size), np.result_type(xs, float))
+    for start in range(0, xs.size, step):
+        block = slice(start, start + step)
+        out[:, block] = _cardinals(basis, _terms(basis, xs[block]))
+    return out
 
 
 def _cardinals(basis: DlfBasis, terms: np.ndarray) -> np.ndarray:
     """All ``L_j`` at K points from ``terms = psi_i(x) - psi_i(x_i)``, shape ``(size, K)``.
 
-    Overwrites and returns ``terms``.  Columns without zero or tiny terms
+    Overwrites and returns ``terms``.  Each column is formed from its own
+    terms alone, so a table built block by block is the same to the bit;
+    :func:`lagrange_matrix` passes cache-sized blocks of points, which keeps
+    the ``(size, K)`` temporaries small.  Columns without zero or tiny terms
     divide the full product by each term and by ``_denom_prod``.  With two
     or more zeros every ``L_j`` is 0; with one zero at row ``i`` only
     ``L_i`` is nonzero and, like every ``L_j`` of a column with a term at

@@ -5,11 +5,14 @@ to differentiate by hand; its weight-derivative and scale-factor values
 below were differentiated by hand and anchor the cached quantities.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dlf.basis import (
+    _BLOCK_ENTRIES,
     FAMILY_KINDS,
     NodeSet,
     basis_from_spec,
@@ -21,6 +24,7 @@ from dlf.basis import (
     make_psi_family,
     validate_basis,
     weight_eval,
+    _terms,
 )
 from dlf.errors import (
     DegenerateDerivativeError,
@@ -166,14 +170,83 @@ def test_batched_kernel_matches_product_form(kind, rng):
 def test_own_values_are_the_table_diagonal(kind, n):
     kind, params, (a, b) = KIND_CASES[kind]
     basis = build_basis(kind, params, n=n, a=a, b=b)
+    # BLAS products of the cardinal table round differently in F order
+    assert lagrange_matrix(basis, np.linspace(a, b, 7)).flags.c_contiguous
     owns = [basis._psi_own, basis._dpsi_own, basis._d2psi_own, None]
     for order, own in enumerate(owns):
         table = basis.psi.values_at(basis.nodes.nodes, order)
         assert table.shape == (n + 1, n + 1)
-        # BLAS products of the cardinal table round differently in F order
-        assert table.flags.c_contiguous, order
+        if basis.psi.is_homogeneous:
+            # one shared row, evaluated once per point
+            assert not table.flags.writeable and table.strides[0] == 0, order
+        else:
+            assert table.flags.c_contiguous, order
         if own is not None:
             assert own.tobytes() == np.diag(table).tobytes(), order
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_blocked_table_equals_one_block_calls(kind, rng):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=12, a=a, b=b)
+    step = _BLOCK_ENTRIES // basis.size
+    # three full blocks and a last one of five points
+    xs = rng.uniform(a, b, 3 * step + 5)
+    xs[7] = basis.nodes.nodes[3]
+    if 0.0 in basis.nodes.nodes:
+        xs[2 * step + 1] = 1e-160  # the factor-by-factor route, in a later block
+        assert np.abs(_terms(basis, xs[2 * step + 1])).min() <= 1e-150
+    table = lagrange_matrix(basis, xs)
+    assert table.flags.c_contiguous
+    blocks = [lagrange_matrix(basis, xs[s : s + step]) for s in range(0, len(xs), step)]
+    assert [blk.shape[1] for blk in blocks] == [step, step, step, 5]
+    assert table.tobytes() == np.concatenate(blocks, axis=1).tobytes()
+    assert table[:, 7].tobytes() == np.eye(basis.size)[3].tobytes()
+
+
+def _formula(kind, params, x, order):
+    """``psi^(order)`` of a homogeneous kind at the points ``x``, written out."""
+    if kind == "identity":
+        return [x, np.ones_like(x), np.zeros_like(x)][order]
+    if kind == "fractional":
+        d = params["delta"]
+        return [x**d, d * x ** (d - 1), d * (d - 1) * x ** (d - 2)][order]
+    if kind == "generalized":  # x^3 + x
+        return [x**3 + x, 3 * x**2 + 1, 6 * x][order]
+    if kind == "rational":
+        L = params["L"]
+        return [x / (x + L), L / (x + L) ** 2, -2 * L / (x + L) ** 3][order]
+    if kind == "exponential":
+        w = params["rates"]
+        return w**order * np.exp(w * x)
+    w = params["freqs"]
+    trig = np.sin if kind == "fourier-sin" else np.cos
+    return w**order * trig(w * x + order * np.pi / 2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("kind", [k for k in FAMILY_KINDS if k != "mixed"])
+def test_shared_row_is_the_formula(kind, order, rng):
+    kind, params, (a, b) = KIND_CASES[kind]
+    fam = make_psi_family(kind, params, size=9)
+    xs = rng.uniform(a, b, 50)
+    table = fam.values_at(xs, order)
+    expected = np.asarray(_formula(kind, params, xs, order), dtype=float)
+    assert all(row.tobytes() == expected.tobytes() for row in table)
+
+
+@pytest.mark.parametrize("kind", ["identity", "fourier-cos"])
+def test_blocked_table_peak_memory_is_about_the_output(kind):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=128, a=a, b=b)
+    xs = np.linspace(a, b, 16384)
+    tracemalloc.start()
+    try:
+        table = lagrange_matrix(basis, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -201,6 +274,23 @@ def test_homogeneous_exactly_when_per_index_parameters_are_equal(kind, key):
     assert not homogeneous(np.arange(1.0, 6.0))
     if kind != "rational":  # the default rates and freqs are 1..N+1
         assert not make_psi_family(kind, {}, size=5).is_homogeneous
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("rational", "L"), ("exponential", "rates"), ("fourier-sin", "freqs"), ("fourier-cos", "freqs")],
+)
+def test_one_differing_parameter_gives_its_own_row(kind, key, rng):
+    xs = rng.uniform(0.1, 0.9, 6)
+
+    def table(values):
+        return make_psi_family(kind, {key: values}, size=5).values_at(xs)
+
+    mixed, shared, other = table([0.7, 0.7, 0.7, 0.7, 0.8]), table(0.7), table(0.8)
+    assert mixed.flags.c_contiguous and mixed.flags.writeable
+    assert mixed[:4].tobytes() == np.ascontiguousarray(shared[:4]).tobytes()
+    assert mixed[4].tobytes() == other[0].tobytes()
+    assert not np.any(mixed[4] == mixed[0])
 
 
 def test_mixed_is_never_homogeneous():
