@@ -6,12 +6,15 @@ interpolant), ``solve`` (run a collocation problem from a JSON config),
 ``converge`` (N-sweep with error and timing columns), ``contour-check``
 (compare direct and contour-integral evaluation).
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure.  All
-failures write a single-line JSON object to stderr with an ``error`` tag,
-a ``message``, and any structured detail the originating exception
-carries.  CSV numbers are written as ``%.16e`` (17 significant digits);
-JSON floats use Python's shortest round-trip ``repr``.  Flags override the
-matching config keys.
+Exit codes: 0 success, 1 usage, config or file error (``io`` for an
+``OSError`` such as a directory at an output path), 2 numerical failure.
+All failures write a single-line JSON object to stderr with an ``error``
+tag, a ``message``, and any structured detail the originating exception
+carries.  CSV numbers are written as ``%.16e`` (17 significant digits); a
+large all-float table goes through one vectorised formatter whose text is
+identical, and what it declines falls back to ``%``.  JSON floats use
+Python's shortest round-trip ``repr``.  Flags override the matching config
+keys.
 
 Every artifact goes through ``interp.write_artifact``: a regular file with
 one link at the path is unlinked and created again, so its mode comes from
@@ -71,15 +74,156 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
+        if message.endswith("expected one argument"):  # as after "--domain -1,1"
+            flag = message.split()[1].rstrip(":").split("/")[-1]
+            message += f"; a value that starts with '-' needs the {flag}=VALUE form, as in --domain=-1,1"
         raise UsageError(message)
 
 
 def _table(table, line: str | None = None) -> str:
-    """CSV lines of a ``(rows, cols)`` float table: ``%.16e`` (or ``line``) in one ``%``."""
+    """CSV lines of a ``(rows, cols)`` float table: ``%.16e`` (or ``line``) in one ``%``.
+
+    A table of at least ``_E16_MIN_VALUES`` values in the default format
+    goes through ``_e16_text``, which writes the same bytes; a table it
+    declines takes the ``%`` line.
+    """
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
+    if line is None and table.size >= _E16_MIN_VALUES:
+        text = _e16_text(table)
+        if text is not None:
+            return text
     line = line or ",".join(["%.16e"] * cols) + "\n"
     return (line * rows) % tuple(table.ravel().tolist())
+
+
+# ---------------------------------------------------------------------------
+# %.16e text in numpy passes
+# ---------------------------------------------------------------------------
+
+# below this many values one ``%`` is faster than ``_e16_text`` (they break even
+# at about 150 values of a 2-column table, median of 300 interleaved calls each)
+_E16_MIN_VALUES = 160
+# ``_e16_text`` takes 10**-_E16_RANGE <= |x| < 10**_E16_RANGE (and zeros): there the
+# Dekker splits of |x| and of 10**(16 - e) stay finite and normal
+_E16_RANGE = 280
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+@functools.cache
+def _pow10(k: int) -> tuple[float, float]:
+    """``10**k`` as ``hi + lo``: ``hi`` correctly rounded, ``lo`` the rounded remainder."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den  # int true division rounds correctly
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+def _split(a):
+    """Dekker's split of ``a`` into two halves of at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, e):
+    """``a * 10**(16 - e)`` as an unevaluated pair ``hi + lo`` (Dekker's product, no FMA).
+
+    ``hi`` is the rounded product and ``lo`` the sum of its error and
+    ``a`` times the power's remainder; the pair is off by less than 2**-46
+    where it lies in [1e16, 1e17).
+    """
+    k = 16 - e
+    k0 = int(k.min())
+    ph, pl = np.array([_pow10(j) for j in range(k0, int(k.max()) + 1)]).T
+    ph, pl = ph[k - k0], pl[k - k0]
+    h = a * ph
+    ah, al = _split(a)
+    bh, bl = _split(ph)
+    return h, (((ah * bh - h) + ah * bl + al * bh) + al * bl) + a * pl
+
+
+def _round_exact(a: float, e: int) -> int:
+    """``a * 10**(16 - e)`` rounded half-even, in Python ints."""
+    num, den = a.as_integer_ratio()
+    if e <= 16:
+        num *= 10 ** (16 - e)
+    else:
+        den *= 10 ** (e - 16)
+    q, r = divmod(num, den)
+    return q + (2 * r > den or (2 * r == den and q & 1))
+
+
+@functools.cache
+def _e16_words():
+    """uint32 words of NUL-padded text: 20 heads (sign, lead digit, '.') and 10**4 4-digit groups."""
+    heads = [(b"-" * neg + b"%d." % d).ljust(4, b"\0") for neg in (0, 1) for d in range(10)]
+    pairs = np.frombuffer(b"".join([b"%02d" % i for i in range(100)]), np.uint8).reshape(100, 2)
+    digits = np.empty((100, 100, 4), np.uint8)
+    digits[:, :, :2] = pairs[:, None]
+    digits[:, :, 2:] = pairs
+    return np.frombuffer(b"".join(heads), np.uint32), digits.view(np.uint32).ravel()
+
+
+@functools.cache
+def _exponent_words(e: int) -> bytes:
+    """``e`` as ``%.16e`` ends a value, then ``,`` or ``\\n``: two words each, NUL-padded."""
+    return b"".join([(b"e%+03d" % e + sep).ljust(8, b"\0") for sep in (b",", b"\n")])
+
+
+def _e16_text(table) -> str | None:
+    """The CSV text of a float table as ``"%.16e"`` writes it, or None when declined.
+
+    Each value's 17 significant digits come from a double-double product
+    rounded half-even; fractions within 2**-40 of one half are rounded again
+    exactly.  A table holding a non-finite, subnormal or out-of-range value
+    is declined whole.
+    """
+    x = table.ravel()
+    a = np.abs(x)
+    zero = a == 0
+    if not (zero | ((a >= 10.0**-_E16_RANGE) & (a < 10.0**_E16_RANGE))).all():
+        return None
+    a[zero] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    h, lo = _scaled(a, e)
+    # log10 may miss by one: move e where the pair lies outside [1e16, 1e17)
+    off = ((h - 1e17) + lo >= 0).astype(np.int64) - ((h - 1e16) + lo < 0)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] += off[redo]
+        h[redo], lo[redo] = _scaled(a[redo], e[redo])
+    whole = np.floor(lo)
+    frac = lo - whole
+    q = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    for i in np.flatnonzero(np.abs(frac - 0.5) < 2.0**-40).tolist():
+        q[i] = _round_exact(float(a[i]), int(e[i]))
+    carry = q == 10**17
+    q[carry] = 10**16
+    e += carry
+    q[zero] = 0
+    e[zero] = 0
+    if not (zero | ((q >= 10**16) & (q < 10**17))).all():
+        return None
+    heads, digits = _e16_words()
+    # q = lead|g1|g2 (9 digits) and g3|g4 (8 digits), split by floor division
+    top = q // 10**8
+    low = q - top * 10**8
+    head = top // 10**4
+    lead = head // 10**4
+    g3 = low // 10**4
+    words = np.empty((x.size, 7), np.uint32)
+    words[:, 0] = heads[np.signbit(x) * 10 + lead]
+    words[:, 1] = digits[head - lead * 10**4]
+    words[:, 2] = digits[top - head * 10**4]
+    words[:, 3] = digits[g3]
+    words[:, 4] = digits[low - g3 * 10**4]
+    e0 = int(e.min())
+    exps = b"".join([_exponent_words(j) for j in range(e0, int(e.max()) + 1)])
+    last = (np.arange(table.shape[1]) == table.shape[1] - 1).astype(np.int64)
+    exps = np.frombuffer(exps, np.uint32).reshape(-1, 2, 2)[e.reshape(table.shape) - e0, last]
+    words[:, 5:] = exps.reshape(-1, 2)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_text(path: str | None, text: str):
@@ -344,7 +488,11 @@ def _cmd_contour_check(args) -> int:
     basis = _basis_from_flags(args)
     u_fn, ys = _x_function(basis, args.u_expr, "--u-expr")
     u = AnalyticFn(u_fn)
-    contour = Contour(complex(args.center), args.radius, args.panels)
+    try:
+        center = complex(args.center)
+    except ValueError:
+        raise UsageError(f"--center expects a complex literal such as 0.5+1j, got {args.center!r}") from None
+    contour = Contour(center, args.radius, args.panels)
     interp = interpolate_1d(basis, ys)
     xs = _sample_points(basis, args.points)
     table = np.empty((xs.size, 6))
@@ -450,6 +598,8 @@ def main(argv=None) -> int:
         return _fail(1, "usage", str(e))
     except FileNotFoundError as e:
         return _fail(1, "missing-file", str(e))
+    except OSError as e:  # a directory at an output path, a refused write, ...
+        return _fail(1, "io", str(e))
     except json.JSONDecodeError as e:
         return _fail(1, "malformed-config", str(e))
     except (KeyError, TypeError, ValueError) as e:

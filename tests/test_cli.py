@@ -12,8 +12,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dlf.cli import _basis_from_flags, _build_parser, _samples_csv, main
+from dlf.cli import (
+    _E16_MIN_VALUES,
+    _E16_RANGE,
+    _basis_from_flags,
+    _build_parser,
+    _e16_text,
+    _samples_csv,
+    _table,
+    main,
+)
 from dlf.interp import eval_interpolant, load_interpolant
 from dlf.solver import bases_from_config, load_config, solve_config
 
@@ -51,6 +61,66 @@ def reparsed_csv(text: str) -> str:
 AWKWARD = [-0.0, 5e-324, 1e300, -1e300, 0.1, -2.5e-310, float("nan"), float("inf")]
 
 
+def percent_csv(table) -> str:
+    """``table`` as CSV with every value through ``"%.16e" %``: the reference of ``_table``."""
+    return "".join(",".join("%.16e" % v for v in row) + "\n" for row in table.tolist())
+
+
+def in_band(bits) -> np.ndarray:
+    """float64 of the ``bits`` with each binary exponent folded into [-929, 928].
+
+    2**-929 > 1e-280 and 2**929 < 1e280, so every value lies in the range of
+    ``_e16_text``; sign and significand bits are kept as drawn.
+    """
+    bits = np.asarray(bits, dtype=np.uint64)
+    exponent = (bits >> 52) & 0x7FF
+    return ((bits & ~np.uint64(0x7FF << 52)) | ((exponent % 1858 + 1023 - 929) << 52)).view(np.float64)
+
+
+def e16_cases() -> list:
+    """Values whose 17 significant digits are easy to get wrong, each in ``_e16_text``'s range."""
+    powers = [float(f"1e{k}") for k in range(-_E16_RANGE, _E16_RANGE)]  # from 1e-280
+    near = [float(np.nextafter(p, 0.0)) for p in powers[1:]]
+    near += [float(np.nextafter(p, np.inf)) for p in powers]
+    ties = [3 * 2.0**-24, 1.00040435791015625e-3]  # exact halves at the 17th digit: odd, even
+    edges = [float(np.nextafter(1e17, 0)), 9.999999999999999e22, float(np.nextafter(1e280, 0)),
+             0.0, 0.1, 0.5, 1.0, 2.0**-52]
+    values = powers + near + ties + edges
+    return values + [-v for v in values]
+
+
+class TestE16Text:
+    """``_table`` and its vectorised formatter against ``"%.16e" %`` on every value."""
+
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_hard_cases_match(self, cols):
+        values = np.array(e16_cases())
+        table = values[: values.size // cols * cols].reshape(-1, cols)
+        assert table.size >= _E16_MIN_VALUES
+        assert _e16_text(table) == percent_csv(table)
+        assert _table(table) == percent_csv(table)
+
+    @pytest.mark.parametrize("value", AWKWARD)
+    def test_awkward_value_in_a_large_table(self, value):
+        table = np.linspace(-1.0, 1.0, 2 * _E16_MIN_VALUES).reshape(-1, 2)
+        table[7, 1] = value
+        in_range = value == 0 or 1e-280 <= abs(value) < 1e280
+        assert (_e16_text(table) is not None) == in_range
+        assert _table(table) == percent_csv(table)
+
+    @pytest.mark.parametrize("count", [_E16_MIN_VALUES - 1, _E16_MIN_VALUES, 2 * _E16_MIN_VALUES])
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(data=st.data(), cols=st.integers(1, 6), band=st.booleans())
+    def test_bit_patterns_match(self, count, data, cols, band):
+        raw = data.draw(st.binary(min_size=8 * count, max_size=8 * count))
+        bits = np.frombuffer(raw, dtype="<u8")
+        values = in_band(bits) if band else bits.view(np.float64)
+        table = values[: count // cols * cols].reshape(-1, cols)
+        assert _table(table) == percent_csv(table)
+        if band and table.size:
+            assert _e16_text(table) == percent_csv(table)
+
+
 class TestCsvBytes:
     """Every CSV table matches the per-value ``f"{v:.16e}"`` formatter byte for byte."""
 
@@ -68,20 +138,23 @@ class TestCsvBytes:
 
     def test_interp_samples(self, capsys, tmp_path):
         target = tmp_path / "samples.csv"
-        run_cli(capsys, "interp", "--expr", "sin(pi*x) - 0.5", "--N", "10", "--samples", "33",
-                "--samples-out", str(target), "--out", str(tmp_path / "itp.json"))
-        itp = load_interpolant(tmp_path / "itp.json")
-        xs = np.linspace(-1.0, 1.0, 33)
-        expected = reference_csv("x,u", zip(xs, eval_interpolant(itp, xs)))
-        assert target.read_bytes() == expected.encode()
+        for count in (33, 512):  # 512 rows take the vectorised formatter
+            run_cli(capsys, "interp", "--expr", "sin(pi*x) - 0.5", "--N", "10",
+                    "--samples", str(count), "--samples-out", str(target),
+                    "--out", str(tmp_path / "itp.json"))
+            itp = load_interpolant(tmp_path / "itp.json")
+            xs = np.linspace(-1.0, 1.0, count)
+            expected = reference_csv("x,u", zip(xs, eval_interpolant(itp, xs)))
+            assert target.read_bytes() == expected.encode()
 
     def test_diffmat(self, capsys):
         from dlf.diffmat import dm_matrix
         from conftest import build_basis
 
-        _, out, _ = run_cli(capsys, "diffmat", "--N", "9", "--order", "2", "--domain", "0,3")
-        expected = reference_csv(None, dm_matrix(build_basis(n=9, a=0.0, b=3.0), 2).entries)
-        assert out == expected
+        for n in (9, 40):  # 41**2 entries take the vectorised formatter
+            _, out, _ = run_cli(capsys, "diffmat", "--N", str(n), "--order", "2", "--domain", "0,3")
+            expected = reference_csv(None, dm_matrix(build_basis(n=n, a=0.0, b=3.0), 2).entries)
+            assert out == expected
 
     def test_basis_out(self, capsys, tmp_path):
         from conftest import build_basis
@@ -222,6 +295,19 @@ class TestBasisCommand:
         code, _, err = run_cli(capsys, "basis", "--domain", "zero..one")
         assert code == 1
         assert stderr_json(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("flag,value", [("--domain", "-1,1"), ("--nodes", "-1,0,1")])
+    def test_value_starting_with_a_minus_needs_the_equals_form(self, capsys, flag, value):
+        # argparse reads "-1,1" as a flag; the message says how to pass it
+        code, out, err = run_cli(capsys, "basis", flag, value)
+        assert (code, out) == (1, "")
+        body = stderr_json(err)
+        assert body["error"] == "usage"
+        assert f"argument {flag}: expected one argument" in body["message"]
+        assert f"{flag}=VALUE" in body["message"] and "--domain=-1,1" in body["message"]
+        code, out, _ = run_cli(capsys, "basis", f"{flag}={value}", "--N", "2")
+        assert code == 0
+        assert out.splitlines()[1].startswith("0,-1.0000000000000000e+00,")
 
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "basis", "--params", "{nope}")
@@ -632,6 +718,15 @@ class TestContourCheckCommand:
         assert code == 1
         assert stderr_json(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("center", ["1+", "one", ""])
+    def test_malformed_center_is_a_usage_error(self, capsys, center):
+        code, out, err = run_cli(capsys, "contour-check", "--N", "4", f"--center={center}")
+        assert (code, out) == (1, "")
+        body = stderr_json(err)
+        assert body["error"] == "usage"
+        assert body["message"].startswith("--center expects a complex literal")
+        assert repr(center) in body["message"]
+
 
 # every command that writes artifacts: its argv ("{}" is the output root) and its files
 ARTIFACT_COMMANDS = {
@@ -684,14 +779,18 @@ class TestArtifactWrites:
         assert write_artifacts(capsys, command, again) == fresh
 
     @pytest.mark.parametrize(
-        "command,target", [("basis", "basis.csv"), ("solve", "run/solution.json")]
+        "command,target",
+        [("basis", "basis.csv"), ("diffmat", "d2.csv"), ("interp", "samples.csv"),
+         ("solve", "run/solution.json")],
     )
-    def test_directory_at_the_path_is_an_internal_error(self, capsys, tmp_path, command, target):
+    def test_directory_at_the_path_is_an_io_error(self, capsys, tmp_path, command, target):
         (tmp_path / target).mkdir(parents=True)
         argv, _ = ARTIFACT_COMMANDS[command]
         code, _, err = run_cli(capsys, *(arg.replace("{}", str(tmp_path)) for arg in argv))
-        assert code == 2
-        assert stderr_json(err)["error"] == "internal"
+        assert code == 1
+        body = stderr_json(err)
+        assert body["error"] == "io"
+        assert str(tmp_path / target) in body["message"]
 
     @pytest.mark.parametrize("command", ["basis", "interp", "contour-check"])
     def test_missing_parent_directory_is_a_missing_file(self, capsys, tmp_path, command):
