@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
-import itertools
 import json
 import math
 import os
@@ -58,6 +57,7 @@ from .interp import (
 from .solver import (
     SolveOptions,
     _coord_name,
+    _coords,
     assemble_collocation_nd,
     bases_from_config,
     load_config,
@@ -393,19 +393,6 @@ def _cmd_interp(args) -> int:
     return 0
 
 
-def _samples_csv(axes, grid) -> str:
-    """``x1,...,xp,u`` rows on the tensor grid of ``axes``, last index fastest.
-
-    Each node is formatted once per axis and every grid value once; the
-    coordinate prefixes, which hold no ``%``, become the format string.
-    """
-    dim = len(axes)
-    header = (",".join(f"x{d + 1}" for d in range(dim)) if dim > 1 else "x") + ",u\n"
-    prefixes = [["%.16e," % x for x in axis.tolist()] for axis in axes]
-    line = "%.16e\n".join(map("".join, itertools.product(*prefixes))) + "%.16e\n"
-    return header + line % tuple(grid.ravel().tolist())
-
-
 def _cmd_solve(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     problem = problem_from_config(cfg)
@@ -432,8 +419,9 @@ def _cmd_solve(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_interpolant(result.interpolant, os.path.join(args.out, "solution.json"))
-        csv = _samples_csv([b.nodes.nodes for b in bases], result.interpolant.coeffs)
-        _write_text(os.path.join(args.out, "samples.csv"), csv)
+        coords = _coords(bases, (slice(None),) * len(bases))  # by name, last index fastest
+        table = np.column_stack([g.ravel() for g in coords.values()] + [result.interpolant.coeffs])
+        _write_text(os.path.join(args.out, "samples.csv"), ",".join([*coords, "u\n"]) + _table(table))
         report_text = json.dumps(report, indent=2) + "\n"
         _write_text(os.path.join(args.out, "residual_report.json"), report_text)
     print(json.dumps(report))

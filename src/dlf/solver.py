@@ -12,7 +12,8 @@ algebraic in the nodal values.
 Every block of rows is a *box*: one row slice per dimension of the nodal
 grid and one derivative matrix ``D_d^(k)`` (``None`` for ``k = 0``) per
 dimension.  Its values are the matrices applied along their axes, then
-sliced; its Jacobian rows are the same slices of their Kronecker product.
+sliced; its Jacobian rows, the same slices of their Kronecker product, are
+written from the matrices through a view of their nonzeros, never formed.
 
 - interior rows: one box per u-symbol over the interior nodes (per
   dimension the ``v1`` leading and ``v2`` trailing nodes are dropped),
@@ -33,10 +34,11 @@ over its box.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +72,7 @@ __all__ = [
 _DU_RE = re.compile(r"^d(\d*)u$")
 
 _ENDPOINT_TOL = 1e-12
+_ONE = np.broadcast_to(1.0, (1, 1))  # an identity dimension's factor (see _box), read-only
 
 
 def _deriv_orders_from_name(name: str, dim: int):
@@ -236,11 +239,30 @@ def _along(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Box(NamedTuple):
-    """A block of rows: a box of the nodal grid under one matrix per dimension."""
+    """A block of rows: a box of the nodal grid under one matrix per dimension.
+
+    ``nonzeros`` holds the ``np.ndarray`` shape, strides and offset of a view
+    of the box's Jacobian nonzeros, a row and a column axis per dimension.
+    """
 
     rows: tuple  # one slice per dimension
     mats: tuple  # one derivative matrix, or None for the identity, per dimension
     data: np.ndarray | None = None  # a condition's data, in the box's shape
+    nonzeros: dict | None = None
+
+
+def _box(rows: tuple, mats: tuple, shape: tuple, row0: int, data=None) -> _Box:
+    """The box ``rows`` under ``mats``, its Jacobian rows from row ``row0`` on."""
+    m = math.prod(shape)
+    dims, strides, offset, row, col = [], [], 8 * m * row0, 8 * m, 8  # bytes, last axis first
+    for n, r, mat in zip(shape[::-1], rows[::-1], mats[::-1]):
+        span = range(n)[r]
+        # an identity row's one column is its own node: the row axis steps along both
+        dims[:0] = [len(span), 1 if mat is None else n]
+        strides[:0] = [row + (mat is None) * col, col]
+        offset += (mat is None) * span.start * col
+        row, col = row * len(span), col * n
+    return _Box(rows, mats, data, dict(shape=tuple(dims), strides=tuple(strides), offset=offset))
 
 
 def _apply(box: _Box, grid: np.ndarray) -> np.ndarray:
@@ -251,13 +273,13 @@ def _apply(box: _Box, grid: np.ndarray) -> np.ndarray:
     return grid[box.rows]
 
 
-def _kron(box: _Box, shape: tuple) -> np.ndarray:
-    """The box's rows of the Kronecker product of its matrices."""
-    factors = [
-        (np.eye(n) if mat is None else mat)[rows]
-        for n, mat, rows in zip(shape, box.mats, box.rows)
-    ]
-    return reduce(np.kron, factors)
+def _add_rows(jac: np.ndarray, box: _Box, vals) -> None:
+    """Add ``vals`` (per box row) times the box's Kronecker rows to their nonzeros in ``jac``.
+    Factors go in ``np.kron``'s order and ``vals`` last, so each entry keeps ``np.kron``'s bits."""
+    view = np.ndarray(buffer=jac, **box.nonzeros)
+    factors = [_ONE if mat is None else mat[r] for mat, r in zip(box.mats, box.rows)]
+    vals = np.asarray(vals, dtype=float)
+    view += reduce(np.multiply.outer, factors) * vals.reshape([k for b in vals.shape for k in (b, 1)])
 
 
 def _coords(bases, rows) -> dict:
@@ -309,31 +331,20 @@ class CollocationSystem:
         pieces = [res] + [_apply(box, grid) - box.data for box in self._conds]
         return np.concatenate([piece.ravel() for piece in pieces])
 
-    @cached_property
-    def _kron_rows(self):
-        """The Kronecker rows of each interior box, in ``_derivs`` order, and
-        the condition rows stacked in row order.  Formed on the first Jacobian,
-        not at assembly: the diagonalised route never needs them."""
-        interior = [_kron(box, self._shape) for _, box, _ in self._derivs]
-        conds = [np.empty((0, self.size))] + [_kron(box, self._shape) for box in self._conds]
-        return interior, np.concatenate(conds)
-
     def evaluate_jacobian(self, u_flat: np.ndarray) -> np.ndarray:
         """Exact Jacobian of the residual at ``u_flat``, a fresh array.
 
         Interior rows are ``sum_s diag(dR/ds) kron_d D_d^(k_s)`` over the
         u-symbols ``s``, restricted to the interior rows of each factor;
-        condition rows are the Kronecker rows of their boxes.  Those rows are
-        formed once per system, on its first Jacobian, and kept.
+        condition rows are the Kronecker rows of their boxes.  Each box
+        writes only its nonzeros (``_add_rows``); nothing is kept.
         """
         _, env = self._grid_and_env(u_flat)
-        kron_int, kron_conds = self._kron_rows
         jac = np.zeros((self.size, self.size))
-        interior = jac[: self._rhs.size]
-        for (_, _, partial), rows in zip(self._derivs, kron_int):
-            vals = np.asarray(exprlang.eval_expr(partial, env), dtype=float)
-            interior += np.broadcast_to(vals, self._rhs.shape).reshape(-1, 1) * rows
-        jac[self._rhs.size :] = kron_conds
+        for _, box, partial in self._derivs:
+            _add_rows(jac, box, exprlang.eval_expr(partial, env))
+        for box in self._conds:
+            _add_rows(jac, box, 1.0)
         return jac
 
 
@@ -391,7 +402,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
 
     interior = tuple(slice(v1, n - v2) for (v1, v2), n in zip(problem.splits, shape))
     derivs = [
-        (name, _Box(interior, tuple(dmat(d, k) for d, k in enumerate(orders))), partial)
+        (name, _box(interior, tuple(dmat(d, k) for d, k in enumerate(orders)), shape, 0), partial)
         for name, orders, partial in problem._partials
     ]
     int_env = _coords(bases, interior)
@@ -407,7 +418,7 @@ def assemble_collocation_nd(problem: CollocationProblem, bases) -> CollocationSy
             rows = interior[:d] + (slice(end, end + 1),) + (slice(None),) * (p - d - 1)
             for order, tree in problem._faces[d, side]:
                 mats = tuple(dmat(d, order) if dd == d else None for dd in range(p))
-                conds.append(_Box(rows, mats, on_box(tree, _coords(bases, rows))))
+                conds.append(_box(rows, mats, shape, len(roles), on_box(tree, _coords(bases, rows))))
                 roles += [role] * conds[-1].data.size
 
     system = CollocationSystem(

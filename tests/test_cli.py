@@ -20,12 +20,12 @@ from dlf.cli import (
     _basis_from_flags,
     _build_parser,
     _e16_text,
-    _samples_csv,
     _table,
     main,
 )
-from dlf.interp import eval_interpolant, load_interpolant
-from dlf.solver import bases_from_config, load_config, solve_config
+from dlf import cli
+from dlf.interp import TensorInterpolant, eval_interpolant, load_interpolant
+from dlf.solver import SolveResult, bases_from_config, load_config, solve_config
 
 SINE_CFG = "configs/sine_bvp.json"
 RICCATI_CFG = "configs/riccati_ivp.json"
@@ -125,16 +125,33 @@ class TestCsvBytes:
     """Every CSV table matches the per-value ``f"{v:.16e}"`` formatter byte for byte."""
 
     @pytest.mark.parametrize("shape", [(9,), (7, 10), (3, 4, 5)])
-    def test_samples_csv(self, shape, rng):
-        axes = [np.sort(rng.normal(size=n)) for n in shape]
-        axes[0][:2] = (-0.0, 5e-324)
-        grid = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        grid.flat[: len(AWKWARD)] = AWKWARD
+    def test_samples_csv(self, shape, rng, capsys, tmp_path, monkeypatch):
+        # nodes with random digits and a -0.0; coefficients over the whole
+        # exponent range, led by the finite awkward values (the table takes
+        # the % line), then plain ones (160 or more values take _e16_text)
+        axes = [np.sort(rng.uniform(-1.0, 1.0, n)) for n in shape]
+        axes[0][np.argmin(np.abs(axes[0]))] = -0.0
+        wide = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        finite = [v for v in AWKWARD if np.isfinite(v)]
+        wide.flat[: len(finite)] = finite
         dim = len(shape)
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "dim": dim, "domains": [[-1.0, 1.0]] * dim, "residual": "u", "rhs": "0",
+            "conditions": [], "nodes": [{"values": axis.tolist()} for axis in axes],
+        }))
         header = ",".join([f"x{d + 1}" for d in range(dim)] if dim > 1 else ["x"]) + ",u"
-        rows = [[axes[d][idx[d]] for d in range(dim)] + [grid[idx]] for idx in np.ndindex(*shape)]
-        assert _samples_csv(axes, grid) == reference_csv(header, rows)
-        assert _samples_csv(axes, grid.ravel()) == reference_csv(header, rows)
+        for grid in (wide, rng.normal(size=shape)):
+
+            def solved(system, options):
+                itp = TensorInterpolant(bases=system.bases, coeffs=grid.ravel())
+                return SolveResult(interpolant=itp, iterations=0, residual_norm=0.0, linear=True)
+
+            monkeypatch.setattr(cli, "solve_system", solved)
+            code, _, _ = run_cli(capsys, "solve", "--config", str(config), "--out", str(tmp_path / "run"))
+            assert code == 0
+            rows = [[axes[d][idx[d]] for d in range(dim)] + [grid[idx]] for idx in np.ndindex(*shape)]
+            assert (tmp_path / "run" / "samples.csv").read_text() == reference_csv(header, rows)
 
     def test_interp_samples(self, capsys, tmp_path):
         target = tmp_path / "samples.csv"

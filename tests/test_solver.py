@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import time
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from dlf import solver
+from dlf import exprlang, solver
 from dlf.basis import NodeSet, make_psi_family, validate_basis
 from dlf.diffmat import dm_matrix
 from dlf.errors import (
@@ -454,8 +456,8 @@ class TestLinearSolves:
         jac = system.evaluate_jacobian(u)
         assert np.max(np.abs(jac - probed)) < 1e-6 * (1.0 + np.max(np.abs(jac)))
 
-        # the rows kept from the first call serve a second u exactly as a
-        # freshly assembled system would, and no returned array aliases them
+        # a second u gets exactly what a freshly assembled system gives, and
+        # no returned array aliases another
         v = rng.uniform(-1.0, 1.0, system.size)
         fresh = assemble_collocation_nd(prob, bases).evaluate_jacobian(v)
         again = system.evaluate_jacobian(v)
@@ -492,28 +494,105 @@ def test_along_matches_the_tensordot_reference(kind, dim, rows, rng):
         assert chained.shape == expected.shape and chained.tobytes() == expected.tobytes()
 
 
-def test_kronecker_rows_are_formed_once_per_system(monkeypatch):
-    calls = []
-    kron = solver._kron
+def kron_jacobian(system, u):
+    """The Jacobian from ``reduce(np.kron, ...)`` of each box's factors, an identity
+    dimension as rows of ``np.eye``: the reference of the strided box writes."""
+    _, env = system._grid_and_env(u)
 
-    def counting_kron(box, shape):
-        calls.append(box)
-        return kron(box, shape)
+    def kron_rows(box):
+        factors = [
+            (np.eye(n) if mat is None else mat)[rows]
+            for n, mat, rows in zip(system._shape, box.mats, box.rows)
+        ]
+        return reduce(np.kron, factors)
 
-    monkeypatch.setattr(solver, "_kron", counting_kron)
-    riccati = bvp_problem(
-        residual="du - u^2", rhs="0", domains=[(0.0, 0.5)],
-        conditions=[{"face": "a1", "order": 0, "expr": "1"}],
+    jac = np.zeros((system.size, system.size))
+    interior = jac[: system._rhs.size]
+    for _, box, partial in system._derivs:
+        vals = np.asarray(exprlang.eval_expr(partial, env), dtype=float)
+        interior += np.broadcast_to(vals, system._rhs.shape).reshape(-1, 1) * kron_rows(box)
+    conds = [np.empty((0, system.size))] + [kron_rows(box) for box in system._conds]
+    jac[system._rhs.size :] = np.concatenate(conds)
+    return jac
+
+
+# (residual, [(face, order)] per case) over every box kind: u alone, one
+# matrix (u_2,0), two matrices (u_1,1, u_1,1,0), and conditions of orders 0
+# and 1 on both faces of a dimension
+KRON_CASES = {
+    "1d": ("d2u + u*du - sin(u) + x*u^2", [("a1", 0), ("a1", 1), ("b1", 0), ("b1", 1)]),
+    "2d-orders-by-face": (
+        "u_2,0 + u_0,2 + u*u_1,1 - x1*u_1,0 + u^3",
+        [("a1", 0), ("b1", 1), ("a2", 1), ("b2", 0)],
+    ),
+    "2d-both-orders-on-a-face": (
+        "u_2,0 + u_0,2 + u_1,1 + x2*u^2",
+        [("a1", 0), ("a1", 1), ("b1", 0), ("b1", 1), ("a2", 0), ("b2", 0)],
+    ),
+    "3d": (
+        "u_2,0,0 + u_0,2,0 + u_0,0,2 + u*u_1,1,0 - sin(u)",
+        [("a1", 0), ("b1", 1), ("a2", 1), ("b2", 0), ("a3", 0), ("b3", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["identity", "rational"])
+@pytest.mark.parametrize("case", sorted(KRON_CASES))
+def test_jacobian_matches_the_kronecker_reference(case, kind, rng):
+    residual, conds = KRON_CASES[case]
+    dim = 1 if case == "1d" else int(case[0])
+    prob = CollocationProblem(
+        domains=[(0.0, 1.0)] * dim,
+        residual=residual,
+        rhs="x1" if dim > 1 else "x",
+        conditions=[{"face": f, "order": k, "expr": "1"} for f, k in conds],
     )
-    system = assemble_collocation_nd(riccati, [build_basis("identity", n=16, a=0.0, b=0.5)])
-    assert calls == []
-    # 7 Jacobians, and one call for each box: du, u and the condition
-    assert solve_system(system, SolveOptions(tol=1e-10)).iterations == 7
-    assert len(calls) == 3
-    # the diagonalised route forms none, at assembly or at solve
-    calls.clear()
-    assert solve_system(poisson2d_system([16, 16])).route == "diagonalised"
-    assert calls == []
+    params = {"L": 1.0} if kind == "rational" else None
+    # one size per dimension, so a swapped axis or stride shows
+    bases = [build_basis(kind, params, n=n, a=0.0, b=1.0) for n in (6, 7, 5)[:dim]]
+    system = assemble_collocation_nd(prob, bases)
+    for u in (rng.uniform(-1.0, 1.0, system.size), np.zeros(system.size)):
+        jac, ref = system.evaluate_jacobian(u), kron_jacobian(system, u)
+        # the reference's condition rows hold -0.0 where np.kron multiplied a
+        # negative entry by an identity factor's 0.0; every nonzero is equal
+        assert (jac + 0.0).tobytes() == (ref + 0.0).tobytes()
+        if dim == 1:
+            assert jac.tobytes() == ref.tobytes()
+
+
+def test_jacobian_forms_no_dense_kronecker_rows():
+    """Each box writes only its nonzeros: the first Jacobian of a dense 2-D
+    Newton system costs little beyond the Jacobian itself, and the system
+    keeps no array as wide as the grid."""
+    prob = dirichlet_problem("u_2,0 + u_0,2 + u^3", ZERO_DATA, rhs="1")
+    system = assemble_collocation_nd(prob, [build_basis("identity", n=28, a=0.0, b=1.0)] * 2)
+    tracemalloc.start()
+    try:
+        jac = system.evaluate_jacobian(np.zeros(system.size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * jac.nbytes
+
+    result = solve_system(system)
+    assert result.route == "dense" and result.iterations > 0
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            yield from arrays(list(value.values()))
+
+    wide = [
+        name
+        for name, value in vars(system).items()
+        for arr in arrays(value)
+        if arr.ndim >= 2 and arr.shape[-1] == system.size
+    ]
+    assert wide == []
 
 
 # linear problems whose condition boxes take a derivative matrix:
