@@ -34,6 +34,8 @@ asserting it away.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,6 @@ __all__ = [
 #: between themselves and the circle
 NODE_CLEARANCE = 0.1
 
-_PANEL_AVOID = 1e-8
 _ENTIRE_KINDS = ("identity", "exponential", "fourier-sin", "fourier-cos")
 
 
@@ -70,9 +71,14 @@ class Contour:
     panels: int = 256
 
     def __post_init__(self):
+        panels = self.panels
+        if isinstance(panels, bool) or not (isinstance(panels, numbers.Real) and float(panels).is_integer()):
+            raise InvalidParameterError(f"contour panel count must be an integer, got {panels!r}")
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "panels", int(self.panels))
+        object.__setattr__(self, "panels", int(panels))
+        if not cmath.isfinite(self.center):
+            raise InvalidParameterError(f"contour center must be finite, got {self.center}")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise InvalidParameterError(f"contour radius must be positive, got {self.radius}")
         if self.panels < 16:
@@ -80,8 +86,8 @@ class Contour:
                 f"contour needs at least 16 panels, got {self.panels}"
             )
 
-    def panel_points(self, phase: float = 0.0) -> np.ndarray:
-        thetas = 2 * np.pi * np.arange(self.panels) / self.panels + phase
+    def panel_points(self) -> np.ndarray:
+        thetas = 2 * np.pi * np.arange(self.panels) / self.panels
         return self.center + self.radius * np.exp(1j * thetas)
 
     def encloses(self, z, clearance: float = NODE_CLEARANCE) -> bool:
@@ -126,7 +132,7 @@ def _trapezoid(vals, zs, contour: Contour) -> complex:
     return complex(np.mean(contour.radius / contour.panels * np.sum(vals * units, axis=-1)))
 
 
-def trapezoid_contour_quad(f, contour: Contour, phase: float = 0.0) -> complex:
+def trapezoid_contour_quad(f, contour: Contour) -> complex:
     """``(1/(2*pi*i)) * contour integral of f`` by the periodic trapezoid rule.
 
     ``f`` is called once, on the complex array of panel points, and must
@@ -135,7 +141,7 @@ def trapezoid_contour_quad(f, contour: Contour, phase: float = 0.0) -> complex:
     non-finite sample (a pole on the circle, usually) raises
     :class:`ContourError` naming the panel point.
     """
-    zs = contour.panel_points(phase)
+    zs = contour.panel_points()
     with np.errstate(all="ignore"):
         return _trapezoid(np.broadcast_to(f(zs), zs.shape), zs, contour)
 
@@ -186,17 +192,6 @@ def check_contour_eligibility(basis: DlfBasis, contour: Contour, u=None, targets
                 )
 
 
-def _safe_phase(contour: Contour, avoid) -> float:
-    """Half-panel rotation when a panel point lands on an avoided point."""
-    avoid = np.asarray(avoid, dtype=complex)
-    if avoid.size == 0:
-        return 0.0
-    zs = contour.panel_points()
-    if np.min(np.abs(zs[:, None] - avoid[None, :])) < _PANEL_AVOID:
-        return np.pi / contour.panels
-    return 0.0
-
-
 @dataclass(frozen=True)
 class _Panel:
     """The circle tables of one evaluation, built for ``key = (basis, u, x, contour)``.
@@ -219,7 +214,7 @@ class _Panel:
 def _panel(basis: DlfBasis, u, x, contour: Contour) -> _Panel:
     """Check eligibility, then evaluate ``u``, the maps and ``w`` on the circle once."""
     check_contour_eligibility(basis, contour, _as_analytic(u), targets=(x,))
-    zs = contour.panel_points(_safe_phase(contour, np.append(basis.nodes.nodes, x)))
+    zs = contour.panel_points()
     psi = basis.psi
     with np.errstate(all="ignore"):
         v0 = psi.values_at(zs)

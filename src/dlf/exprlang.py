@@ -7,15 +7,20 @@ multi-index names like ``u_2,0``), the binary operators ``+ - * / ^``
 (with ``^`` right-associative and binding tighter than unary minus), and
 single-argument calls of ``sin cos exp ln sqrt abs tanh``.
 
-Expressions are immutable trees; parsing, printing, and structural
-equality are mutually consistent, so ``parse_expr(format_expr(t)) == t``
-for any tree ``t`` produced by :func:`parse_expr` or :func:`diff_expr`.
+Tokens come from one compiled pattern, all before parsing starts, so a
+character that starts no token is reported even when a syntax error comes
+earlier.  Expressions are immutable trees; parsing, printing, and
+structural equality are mutually consistent, so
+``parse_expr(format_expr(t)) == t`` for any tree ``t`` produced by
+:func:`parse_expr` or :func:`diff_expr`.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,14 +90,18 @@ class Call(Expr):
 # lexer
 # ---------------------------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-# Multi-index derivative symbols use underscore-comma syntax, e.g. u_2,0.
-_MULTI_INDEX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*_\d+(?:,\d+)+")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# One pattern yields every token: leading whitespace, then exactly one named
+# group.  Multi-index derivative symbols use underscore-comma syntax, e.g.
+# u_2,0, and are tried before plain identifiers; ``bad`` catches any other
+# non-space character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*_\d+(?:,\d+)+|[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | lparen | rparen | end
     text: str
     offset: int
@@ -100,37 +109,12 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        ch = src[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(src, pos)
-        if m:
-            tokens.append(_Token("num", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _MULTI_INDEX.match(src, pos) or _IDENT.match(src, pos)
-        if m:
-            tokens.append(_Token("name", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, pos))
-            pos += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
@@ -141,7 +125,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -259,19 +242,19 @@ def _is_real_scalar(v) -> bool:
 def eval_expr(expr: Expr, env: dict | None = None):
     """Evaluate an expression under a variable binding.
 
-    ``env`` maps variable names to numbers (or numpy arrays, which are
-    handled elementwise).  Real scalar evaluation raises
-    :class:`ExprEvalError` on domain failures such as ``ln`` of a
-    non-positive number or division by zero; array and complex evaluation
-    raise if the result is not finite.
+    ``env`` maps variable names to numbers or numpy arrays (handled
+    elementwise).  A result that is not finite everywhere, whether from
+    overflow, division by zero or a domain failure such as ``ln`` of a
+    non-positive number, raises :class:`ExprEvalError`.
     """
-    env = env or {}
-    result = _eval(expr, env)
-    if not _is_real_scalar(result):
+    try:
         with np.errstate(all="ignore"):
-            bad = not np.all(np.isfinite(result))
-        if bad:
-            raise ExprEvalError(f"non-finite result evaluating {format_expr(expr)!r}")
+            result = _eval(expr, env or {})
+            finite = math.isfinite(result) if isinstance(result, float) else np.isfinite(result).all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ExprEvalError(f"non-finite result evaluating {format_expr(expr)!r}")
     return result
 
 
@@ -299,8 +282,7 @@ def _eval(expr: Expr, env: dict):
         if expr.op == "/":
             if _is_real_scalar(right) and right == 0:
                 raise ExprEvalError("division by zero")
-            with np.errstate(all="ignore"):
-                return left / right
+            return left / right
         if expr.op == "^":
             if _is_real_scalar(left) and _is_real_scalar(right):
                 if left == 0 and right < 0:
@@ -309,8 +291,7 @@ def _eval(expr: Expr, env: dict):
                     raise ExprEvalError(
                         "negative base with non-integer exponent"
                     )
-            with np.errstate(all="ignore"):
-                return left ** right
+            return left ** right
         raise ExprEvalError(f"unknown operator {expr.op!r}")
     if isinstance(expr, Call):
         arg = _eval(expr.arg, env)

@@ -497,6 +497,17 @@ class TestInterpCommand:
         assert stderr_json(err)["error"] == "usage"
         assert not csv.exists() and not target.exists()
 
+    @pytest.mark.parametrize(
+        "expr,shown",
+        [("10^400 + 0*x", "10.0^400.0 + 0.0 * x"), ("exp(800)", "exp(800.0)")],
+    )
+    def test_overflowing_expr_is_named(self, capsys, expr, shown):
+        code, out, err = run_cli(capsys, "interp", "--expr", expr, "--N", "4")
+        assert (code, out) == (2, "")
+        assert stderr_json(err) == {
+            "error": "expr-eval", "message": f"non-finite result evaluating {shown!r}"
+        }
+
 
 class TestSolveCommand:
     def test_sine_bvp_report(self, capsys):
@@ -635,6 +646,17 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert stderr_json(err)["error"] == "invalid-parameter"
 
+    def test_overflowing_condition_is_named(self, capsys, tmp_path):
+        cfg = json.load(open(SINE_CFG))
+        cfg["conditions"][1]["expr"] = "1e308*10"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert stderr_json(err) == {
+            "error": "expr-eval", "message": "non-finite result evaluating '1e+308 * 10.0'"
+        }
+
     def test_newton_budget_failure(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--config", RICCATI_CFG, "--max-iter", "1"
@@ -743,6 +765,13 @@ class TestContourCheckCommand:
         assert body["error"] == "usage"
         assert body["message"].startswith("--center expects a complex literal")
         assert repr(center) in body["message"]
+
+    def test_non_finite_center_is_an_invalid_parameter(self, capsys):
+        code, out, err = run_cli(capsys, "contour-check", "--N", "4", "--center=nan")
+        assert (code, out) == (2, "")
+        body = stderr_json(err)
+        assert body["error"] == "invalid-parameter"
+        assert body["message"] == "contour center must be finite, got (nan+0j)"
 
 
 # every command that writes artifacts: its argv ("{}" is the output root) and its files

@@ -22,7 +22,7 @@ from dlf.contour import (
     contour_reconstruction_gap,
     trapezoid_contour_quad,
 )
-from dlf.contour import _panel, _safe_phase
+from dlf.contour import _panel
 from dlf.errors import ContourError, InvalidParameterError
 from dlf.interp import eval_interpolant, interpolate_1d
 
@@ -43,6 +43,21 @@ class TestContourDataclass:
         with pytest.raises(InvalidParameterError):
             Contour(panels=8)
         Contour(panels=16)  # boundary value allowed
+
+    @pytest.mark.parametrize("panels", [16.9, np.nan, np.inf, True, "32", None])
+    def test_panel_count_must_be_an_integer(self, panels):
+        with pytest.raises(InvalidParameterError, match="panel count must be an integer"):
+            Contour(panels=panels)
+
+    @pytest.mark.parametrize("panels", [32.0, np.int64(32), np.float64(32.0)])
+    def test_integral_panel_counts_are_accepted(self, panels):
+        c = Contour(panels=panels)
+        assert c.panels == 32 and type(c.panels) is int
+
+    @pytest.mark.parametrize("center", [complex("nan"), complex(0.0, np.inf), np.nan, -np.inf])
+    def test_center_must_be_finite(self, center):
+        with pytest.raises(InvalidParameterError, match="center must be finite"):
+            Contour(center=center)
 
     def test_panel_points_lie_on_circle(self):
         c = Contour(center=1 + 2j, radius=3.0, panels=32)
@@ -100,13 +115,6 @@ class TestTrapezoidQuad:
         val = trapezoid_contour_quad(lambda z: 2.0, Contour(panels=64))
         assert abs(val) < 1e-13
 
-    def test_phase_shift_moves_panel_points(self):
-        c = Contour(panels=64)
-        zs0 = c.panel_points()
-        zs1 = c.panel_points(np.pi / 64)
-        assert np.min(np.abs(zs0 - 1.0)) < 1e-15
-        assert np.min(np.abs(zs1 - 1.0)) > 1e-3
-
     @given(
         re=st.floats(min_value=-0.5, max_value=0.5),
         im=st.floats(min_value=-0.5, max_value=0.5),
@@ -116,14 +124,6 @@ class TestTrapezoidQuad:
         pole = complex(re, im)
         val = trapezoid_contour_quad(lambda z: c / (z - pole), Contour(panels=96))
         assert abs(val - c) < 1e-10
-
-
-def test_safe_phase_only_when_needed():
-    c = Contour(panels=16)
-    assert _safe_phase(c, np.array([], dtype=complex)) == 0.0
-    assert _safe_phase(c, np.array([0.5 + 0j])) == 0.0
-    # phase-0 panel point sits at z = 1
-    assert _safe_phase(c, np.array([1.0 + 0j])) == pytest.approx(np.pi / 16)
 
 
 class TestAnalyticFn:
@@ -331,7 +331,7 @@ def scalar_reference(basis, u, x, contour, error):
     own = basis._psi_own
     psi_x = basis.psi.values_at(x)
     wx = complex(np.prod(psi_x - own))
-    zs = contour.panel_points(_safe_phase(contour, np.append(basis.nodes.nodes, x)))
+    zs = contour.panel_points()
     sums = np.zeros(basis.size, dtype=complex)
     for t in zs:
         v0, v1 = basis.psi.values_at(t), basis.psi.values_at(t, order=1)

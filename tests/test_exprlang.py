@@ -6,6 +6,8 @@ given) the finite-difference cross-check for diff_expr.  Entries with a
 symbols that have no numeric binding here.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -156,6 +158,68 @@ def test_constants():
     assert eval_expr(parse_expr("e")) == pytest.approx(np.e)
 
 
+# -- tokens ---------------------------------------------------------------
+
+# (source, [(kind, text, offset), ...]) or (source, (error message, offset))
+TOKEN_TABLE = [
+    ("\t", [("end", "", 1)]),
+    ("\n", [("end", "", 1)]),
+    (" ", [("end", "", 1)]),
+    ("\tx\n+ 1 ", [("name", "x", 1), ("op", "+", 3), ("num", "1", 5), ("end", "", 7)]),
+    ("1.", [("num", "1.", 0), ("end", "", 2)]),
+    (".5", [("num", ".5", 0), ("end", "", 2)]),
+    ("1e5", [("num", "1e5", 0), ("end", "", 3)]),
+    ("1e", [("num", "1", 0), ("name", "e", 1), ("end", "", 2)]),
+    ("2x", [("num", "2", 0), ("name", "x", 1), ("end", "", 2)]),
+    ("x1e5", [("name", "x1e5", 0), ("end", "", 4)]),
+    ("u_2,0", [("name", "u_2,0", 0), ("end", "", 5)]),
+    ("u_2,", ("unexpected character ','", 3)),
+    ("u_1,0*2", [("name", "u_1,0", 0), ("op", "*", 5), ("num", "2", 6), ("end", "", 7)]),
+    ("\u0663", [("num", "\u0663", 0), ("end", "", 1)]),  # ARABIC-INDIC DIGIT THREE
+    ("\u00e9", ("unexpected character '\u00e9'", 0)),
+    (" \t$", ("unexpected character '$'", 2)),
+    # a bad character wins over the syntax error before it
+    ("1 2 #", ("unexpected character '#'", 4)),
+    (
+        "-(x^2)/y",
+        [("op", "-", 0), ("lparen", "(", 1), ("name", "x", 2), ("op", "^", 3), ("num", "2", 4),
+         ("rparen", ")", 5), ("op", "/", 6), ("name", "y", 7), ("end", "", 8)],
+    ),
+]
+
+
+@pytest.mark.parametrize("src,want", TOKEN_TABLE)
+def test_token_table(src, want):
+    if isinstance(want, list):
+        assert [(t.kind, t.text, t.offset) for t in exprlang._tokenize(src)] == want
+    else:
+        message, offset = want
+        for read in (exprlang._tokenize, parse_expr):
+            with pytest.raises(ExprSyntaxError) as exc:
+                read(src)
+            assert (str(exc.value), exc.value.offset) == (f"{message} (at offset {offset})", offset)
+
+
+@given(st.text(alphabet=list("0123456789.eE+-*/^() \t\nxu_2,\u0663\u00e9$"), max_size=30))
+def test_tokens_cover_the_source(src):
+    try:
+        tokens = exprlang._tokenize(src)
+    except ExprSyntaxError as exc:
+        # the first character that starts no token; everything before it tokenizes
+        assert src[exc.offset] in ".,\u00e9$"
+        assert str(exc) == f"unexpected character {src[exc.offset]!r} (at offset {exc.offset})"
+        exprlang._tokenize(src[: exc.offset])
+        return
+    *tokens, end = tokens
+    assert end == ("end", "", len(src))
+    pos = 0
+    for kind, text, offset in tokens:
+        assert text and src[offset : offset + len(text)] == text
+        assert not src[pos:offset].strip()
+        pos = offset + len(text)
+    assert not src[pos:].strip()
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -201,6 +265,22 @@ def test_unbound_variable():
 def test_complex_evaluation():
     z = 0.3 + 0.4j
     assert eval_expr(parse_expr("exp(x)"), {"x": z}) == pytest.approx(np.exp(z))
+
+
+@pytest.mark.parametrize(
+    "text,env,shown",
+    [
+        ("10^400", {}, "10.0^400.0"),  # a float power that raises OverflowError
+        ("exp(1000)", {}, "exp(1000.0)"),  # numpy overflow to inf
+        ("1e308*10", {}, "1e+308 * 10.0"),  # a real scalar product overflowing
+        ("x - x", {"x": np.inf}, "x - x"),  # nan from a bound value
+        ("exp(x)", {"x": np.array([0.0, 800.0])}, "exp(x)"),
+    ],
+)
+def test_non_finite_results_raise_naming_the_expression(text, env, shown):
+    # no errstate here: a leaked RuntimeWarning fails under the suite's filter
+    with pytest.raises(ExprEvalError, match=f"non-finite result evaluating '{re.escape(shown)}'"):
+        eval_expr(parse_expr(text), env)
 
 
 # -- differentiation ------------------------------------------------------
