@@ -149,9 +149,22 @@ class PsiFamily:
         A homogeneous family evaluates its one map once per point and
         returns a read-only broadcast view of that row (stride 0 along the
         index axis): copy it before writing.
+
+        This is the one finiteness rule for maps: a value that is not
+        finite raises :class:`InvalidParameterError` naming the kind, the
+        order and the first such point, and no numpy warning is emitted.
+        A ``generalized`` map raises :class:`ExprEvalError` from
+        :func:`exprlang.eval_expr` first.
         """
         x = np.asarray(x)
-        out = self._values(x.reshape(1, -1), order)  # (size, K) or the shared (1, K)
+        with np.errstate(all="ignore"):
+            out = self._values(x.reshape(1, -1), order)  # (size, K) or the shared (1, K)
+        finite = np.isfinite(out)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=0)))
+            raise InvalidParameterError(
+                f"kind {self.kind!r} map of order {order} is not finite at x = {x.flat[k]}"
+            )
         if self._homogeneous:
             out = np.broadcast_to(out, (self.size, out.shape[1]))
         return out[:, 0] if x.ndim == 0 else out
@@ -182,24 +195,20 @@ class PsiFamily:
                 coeff *= delta - k
             if coeff == 0.0:
                 return np.zeros_like(x)
-            with np.errstate(all="ignore"):
-                return coeff * np.power(x, delta - order)
+            return coeff * np.power(x, delta - order)
         if kind == "generalized":
-            expr = self._deriv_expr(order)
-            with np.errstate(all="ignore"):
-                row = exprlang._eval(expr, {"x": x})
+            row = exprlang.eval_expr(self._deriv_expr(order), {"x": x})
             return np.broadcast_to(row, x.shape).astype(np.result_type(x, float))
         if kind == "rational":
             L = self.params["L"][rows, None]
             shifted = x + L
-            with np.errstate(all="ignore"):
-                if order == 0:
-                    if self.params["variant"] == "x/(x+L)":
-                        return x / shifted
-                    return (x - L) / shifted
-                strength = L if self.params["variant"] == "x/(x+L)" else 2.0 * L
-                sign = 1.0 if order % 2 == 1 else -1.0
-                return sign * math.factorial(order) * strength / shifted ** (order + 1)
+            if order == 0:
+                if self.params["variant"] == "x/(x+L)":
+                    return x / shifted
+                return (x - L) / shifted
+            strength = L if self.params["variant"] == "x/(x+L)" else 2.0 * L
+            sign = 1.0 if order % 2 == 1 else -1.0
+            return sign * math.factorial(order) * strength / shifted ** (order + 1)
         if kind == "exponential":
             w = self.params["rates"][rows, None]
             return w ** order * np.exp(w * x)
@@ -501,7 +510,9 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
     Raises :class:`SeparationError` if some map fails to separate a pair of
     nodes (``|psi_i(x_j) - psi_i(x_i)| <= TAU_SEP`` for ``i != j``) and
     :class:`DegenerateDerivativeError` if some map has
-    ``|psi_i'(x_i)| <= TAU_SEP``.  Both tolerances are absolute.
+    ``|psi_i'(x_i)| <= TAU_SEP``.  Both tolerances are absolute.  Maps that
+    are not finite at the nodes are rejected by :meth:`PsiFamily.values_at`,
+    not here.
     """
     if psi.size != len(nodes):
         raise InvalidParameterError(
@@ -515,14 +526,8 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
         )
 
     xs = nodes.nodes
-    with np.errstate(all="ignore"):
-        psi_tab = psi.values_at(xs)  # (size, size): psi_i(x_j)
-        dpsi_tab = psi.values_at(xs, order=1)
-    if not (np.all(np.isfinite(psi_tab)) and np.all(np.isfinite(dpsi_tab))):
-        raise InvalidParameterError(
-            "map values or derivatives are not finite at the nodes "
-            "(check the domain against the family kind)"
-        )
+    psi_tab = psi.values_at(xs)  # (size, size): psi_i(x_j)
+    dpsi_tab = psi.values_at(xs, order=1)
 
     psi_own = np.diag(psi_tab).copy()  # a view would keep the table alive
     f_tab = psi_tab - psi_own[:, None]  # f_i(x_j) = psi_i(x_j) - psi_i(x_i)

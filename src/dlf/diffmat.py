@@ -28,11 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DlfBasis, _cardinals, _terms
-from .errors import (
-    DerivativeOrderError,
-    FdStepError,
-    InvalidParameterError,
-)
+from .errors import FdStepError, InvalidParameterError
 
 __all__ = [
     "DiffMatrix",
@@ -112,11 +108,6 @@ def dm_matrix(basis: DlfBasis, m: int) -> DiffMatrix:
     d1 = d1_matrix(basis)
     if m == 1:
         return d1
-    if m > basis.psi.max_derivative_order:
-        raise DerivativeOrderError(
-            f"order {m} exceeds the map's closed-form derivative limit "
-            f"{basis.psi.max_derivative_order}"
-        )
     xs = basis.nodes.nodes
     # p[k][i] = psi_i^(k+1)(x_i); validate_basis caches the first two and keeps
     # the slope p[0] away from 0

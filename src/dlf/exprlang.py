@@ -93,10 +93,11 @@ class Call(Expr):
 # One pattern yields every token: leading whitespace, then exactly one named
 # group.  Multi-index derivative symbols use underscore-comma syntax, e.g.
 # u_2,0, and are tried before plain identifiers; ``bad`` catches any other
-# non-space character.
+# non-space character.  Digits are ASCII only: ``\d`` would also read other
+# scripts' decimal digits, while every non-ASCII letter is a bad character.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*_\d+(?:,\d+)+|[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*_[0-9]+(?:,[0-9]+)+|[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<bad>\S))"
 )
 
@@ -243,15 +244,18 @@ def eval_expr(expr: Expr, env: dict | None = None):
     """Evaluate an expression under a variable binding.
 
     ``env`` maps variable names to numbers or numpy arrays (handled
-    elementwise).  A result that is not finite everywhere, whether from
-    overflow, division by zero or a domain failure such as ``ln`` of a
-    non-positive number, raises :class:`ExprEvalError`.
+    elementwise).  This is the one finiteness rule of the language: a result
+    that is not finite everywhere, whether from overflow, division by zero
+    or a domain failure such as ``ln`` of a non-positive number, raises
+    :class:`ExprEvalError` with the message ``non-finite result evaluating
+    '<expr>'``, for a scalar and an array alike.  The one other evaluation
+    error is a negative real base with a non-integer exponent.
     """
     try:
         with np.errstate(all="ignore"):
             result = _eval(expr, env or {})
             finite = math.isfinite(result) if isinstance(result, float) else np.isfinite(result).all()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # Python floats raise where numpy gives inf
         finite = False
     if not finite:
         raise ExprEvalError(f"non-finite result evaluating {format_expr(expr)!r}")
@@ -280,27 +284,17 @@ def _eval(expr: Expr, env: dict):
         if expr.op == "*":
             return left * right
         if expr.op == "/":
-            if _is_real_scalar(right) and right == 0:
-                raise ExprEvalError("division by zero")
             return left / right
         if expr.op == "^":
-            if _is_real_scalar(left) and _is_real_scalar(right):
-                if left == 0 and right < 0:
-                    raise ExprEvalError("zero raised to a negative power")
-                if left < 0 and right != int(right):
-                    raise ExprEvalError(
-                        "negative base with non-integer exponent"
-                    )
+            # Python's float power gives a complex number here, which the
+            # finiteness rule would pass, so a real scalar base is checked
+            real = _is_real_scalar(left) and _is_real_scalar(right)
+            if real and left < 0 and not float(right).is_integer():
+                raise ExprEvalError("negative base with non-integer exponent")
             return left ** right
         raise ExprEvalError(f"unknown operator {expr.op!r}")
     if isinstance(expr, Call):
-        arg = _eval(expr.arg, env)
-        if _is_real_scalar(arg):
-            if expr.fn == "ln" and arg <= 0:
-                raise ExprEvalError(f"ln of non-positive value {arg!r}")
-            if expr.fn == "sqrt" and arg < 0:
-                raise ExprEvalError(f"sqrt of negative value {arg!r}")
-        return _NUMPY_FN[expr.fn](arg)
+        return _NUMPY_FN[expr.fn](_eval(expr.arg, env))
     raise ExprEvalError(f"cannot evaluate node {expr!r}")
 
 

@@ -6,6 +6,7 @@ below were differentiated by hand and anchor the cached quantities.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from dlf.basis import (
 from dlf.errors import (
     DegenerateDerivativeError,
     DomainError,
+    ExprEvalError,
     InvalidParameterError,
     SeparationError,
     UnsupportedKindError,
 )
+from dlf.interp import eval_interpolant, interpolate_1d
 
 from conftest import FAMILY_CASES, HOMOGENEOUS_CASES, KIND_CASES, build_basis
 
@@ -468,6 +471,63 @@ def test_fractional_needs_positive_nodes_for_noninteger_delta():
     fam = make_psi_family("fractional", {"delta": 1.5}, size=3)
     with pytest.raises(InvalidParameterError):
         validate_basis(fam, nodes)
+
+
+# -- the map finiteness rule ------------------------------------------------
+
+
+def exponential_half_line_basis():
+    # rate 1 on [0, inf]: finite at every node, while exp(1000) overflows
+    return basis_from_spec({"kind": "exponential", "params": {"rates": 1.0}}, {}, 8, (0, np.inf))
+
+
+FAR_POINT_CALLS = [
+    ("lagrange_matrix", lambda b: lagrange_matrix(b, np.array([0.5, 1000.0]))),
+    ("lagrange_values", lambda b: lagrange_values(b, 1000.0)),
+    ("weight_eval", lambda b: weight_eval(b, 1000.0)),
+    ("eval_interpolant", lambda b: eval_interpolant(interpolate_1d(b, np.ones(b.size)), 1000.0)),
+    (
+        "eval_interpolant-array",
+        lambda b: eval_interpolant(interpolate_1d(b, np.ones(b.size)), np.array([2.0, 1000.0])),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,call", FAR_POINT_CALLS, ids=[c[0] for c in FAR_POINT_CALLS])
+def test_map_overflow_between_nodes_raises_naming_the_point(name, call):
+    basis = exponential_half_line_basis()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as exc:
+            call(basis)
+    assert str(exc.value) == "kind 'exponential' map of order 0 is not finite at x = 1000.0"
+
+
+def test_map_rule_names_the_order_and_the_first_bad_point():
+    fam = make_psi_family("rational", {"L": [1.0, 2.0, 3.0]}, size=3)
+    with pytest.raises(InvalidParameterError) as exc:
+        fam.values_at(np.array([0.0, -2.0, -1.0]), order=1)
+    assert str(exc.value) == "kind 'rational' map of order 1 is not finite at x = -2.0"
+
+
+def test_generalized_map_fails_through_the_expression_rule():
+    fam = make_psi_family("generalized", {"expr": "1/x"}, size=5)
+    with pytest.raises(ExprEvalError, match="non-finite result evaluating '1.0 / x'"):
+        validate_basis(fam, generate_nodes("cgl", 4, -1.0, 1.0))  # a node at 0
+
+
+@given(
+    case=st.sampled_from(FAMILY_CASES),
+    n=st.integers(min_value=3, max_value=9),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    order=st.integers(min_value=0, max_value=2),
+)
+def test_map_rule_never_fires_inside_bounded_domains(case, n, t, order):
+    basis = _case_basis(case, n)
+    a, b = basis.nodes.domain
+    x = a + (b - a) * t
+    assert np.all(np.isfinite(basis.psi.values_at(np.array([a, x, b]), order=order)))
+    assert np.all(np.isfinite(lagrange_values(basis, x)))
 
 
 # -- node sets ------------------------------------------------------------

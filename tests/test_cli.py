@@ -458,6 +458,25 @@ class TestInterpCommand:
         pointwise = [eval_interpolant(itp, float(x)) for x in rows[:, 0]]
         np.testing.assert_allclose(rows[:, 1], pointwise, rtol=1e-14)
 
+    def test_map_not_finite_between_nodes_fails(self, capsys):
+        # odd N: no node at 0, so only the sample there meets the pole of 1/x
+        code, out, err = run_cli(
+            capsys, "interp", "--psi-expr", "1/x", "--N", "7", "--domain=-1,1",
+            "--expr", "x", "--samples", "3",
+        )
+        assert (code, out) == (2, "")
+        assert stderr_json(err) == {
+            "error": "expr-eval", "message": "non-finite result evaluating '1.0 / x'"
+        }
+
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys):
+        code, out, err = run_cli(capsys, "interp", "--expr", "\u0663*x")
+        assert (code, out) == (2, "")
+        assert stderr_json(err) == {
+            "error": "expr-syntax", "message": "unexpected character '\u0663' (at offset 0)",
+            "offset": 0,
+        }
+
     def test_samples_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "interp", "--expr", "x", "--samples", "3")
         assert code == 0
@@ -666,6 +685,76 @@ class TestSolveCommand:
         assert body["error"] == "newton"
         assert body["iterations"] == 1
         assert body["residual_norm"] > 0
+
+
+# --family, --params and --scheme on top of a config, and the config they stand for
+OVERRIDE_FLAGS = ("--family", "rational", "--params", '{"L": 2}', "--scheme", "equispaced")
+
+
+def overridden_config(tmp_path) -> str:
+    cfg = json.load(open(SINE_CFG))
+    cfg["family"] = {"kind": "rational", "params": {"L": 2}}
+    cfg["nodes"] = {"scheme": "equispaced"}
+    path = tmp_path / "overridden.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestConfigOverrides:
+    def test_solve_writes_the_overriding_basis(self, capsys, tmp_path):
+        flagged, edited = tmp_path / "flags", tmp_path / "edited"
+        code, _, _ = run_cli(capsys, "solve", "--config", SINE_CFG, *OVERRIDE_FLAGS,
+                             "--out", str(flagged))
+        assert code == 0
+        (dim,) = json.loads((flagged / "solution.json").read_text())["dims"]
+        assert dim["family"]["kind"] == "rational"
+        assert dim["nodes"]["scheme"] == "equispaced"
+        run_cli(capsys, "solve", "--config", overridden_config(tmp_path), "--out", str(edited))
+        for name in ("solution.json", "samples.csv", "residual_report.json"):
+            assert (flagged / name).read_bytes() == (edited / name).read_bytes()
+
+    def test_converge_uses_the_overriding_basis(self, capsys, tmp_path):
+        trim = lambda text: [",".join(ln.split(",")[:2]) for ln in text.splitlines()]
+        code, flagged, _ = run_cli(capsys, "converge", "--config", SINE_CFG, *OVERRIDE_FLAGS,
+                                   "--N", "4,8")
+        assert code == 0
+        _, edited, _ = run_cli(capsys, "converge", "--config", overridden_config(tmp_path),
+                               "--N", "4,8")
+        _, plain, _ = run_cli(capsys, "converge", "--config", SINE_CFG, "--N", "4,8")
+        assert trim(flagged) == trim(edited) != trim(plain)
+
+
+# each failure's stderr report: its tag, its message and every payload() key
+ERROR_REPORTS = [
+    (
+        ("basis", "--family", "fourier-sin", "--params", '{"freqs":1}',
+         "--nodes", "0.5,1,2.141592653589793", "--domain", "0,3"),
+        "node-separation",
+        {"i": 1, "j": 2, "gap": pytest.approx(1.1102230246251565e-16), "tau": 1e-10},
+    ),
+    (
+        ("basis", "--family", "fourier-sin", "--params", '{"freqs":1}',
+         "--nodes", "0.5,1.5707963267948966,2.5", "--domain", "0,3"),
+        "degenerate-derivative",
+        {"i": 1, "slope": pytest.approx(1.2246467991473532e-16), "tau": 1e-10},
+    ),
+    (
+        ("diffmat", "--N", "6", "--route", "oracle", "--fd-step", "1e-13"),
+        "fd-step",
+        {"richardson_disagreement": pytest.approx(0.1414, rel=0.01)},
+    ),
+    (("interp", "--N", "4", "--expr", "1 +"), "expr-syntax", {"offset": 3}),
+]
+
+
+@pytest.mark.parametrize("argv,tag,payload", ERROR_REPORTS, ids=[r[1] for r in ERROR_REPORTS])
+def test_error_reports_carry_their_payload(capsys, argv, tag, payload):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    body = stderr_json(err)
+    assert body.pop("error") == tag
+    assert isinstance(body.pop("message"), str)
+    assert body == payload
 
 
 class TestConvergeCommand:

@@ -175,7 +175,7 @@ TOKEN_TABLE = [
     ("u_2,0", [("name", "u_2,0", 0), ("end", "", 5)]),
     ("u_2,", ("unexpected character ','", 3)),
     ("u_1,0*2", [("name", "u_1,0", 0), ("op", "*", 5), ("num", "2", 6), ("end", "", 7)]),
-    ("\u0663", [("num", "\u0663", 0), ("end", "", 1)]),  # ARABIC-INDIC DIGIT THREE
+    ("\u0663", ("unexpected character '\u0663'", 0)),  # ARABIC-INDIC DIGIT THREE
     ("\u00e9", ("unexpected character '\u00e9'", 0)),
     (" \t$", ("unexpected character '$'", 2)),
     # a bad character wins over the syntax error before it
@@ -206,7 +206,7 @@ def test_tokens_cover_the_source(src):
         tokens = exprlang._tokenize(src)
     except ExprSyntaxError as exc:
         # the first character that starts no token; everything before it tokenizes
-        assert src[exc.offset] in ".,\u00e9$"
+        assert src[exc.offset] in ".,\u0663\u00e9$"
         assert str(exc) == f"unexpected character {src[exc.offset]!r} (at offset {exc.offset})"
         exprlang._tokenize(src[: exc.offset])
         return
@@ -257,6 +257,20 @@ def test_division_by_zero():
         eval_expr(parse_expr("1/x"), {"x": 0.0})
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["(-8)^0.5", "(-8)^sqrt(-1)"],  # Python's power gives a complex; a NaN exponent
+)
+def test_negative_base_with_non_integer_exponent(text):
+    with pytest.raises(ExprEvalError) as exc:
+        eval_expr(parse_expr(text))
+    assert str(exc.value) == "negative base with non-integer exponent"
+
+
+def test_negative_base_with_integer_exponent():
+    assert eval_expr(parse_expr("(-2)^3")) == -8.0
+
+
 def test_unbound_variable():
     with pytest.raises(ExprEvalError):
         eval_expr(parse_expr("x + y"), {"x": 1.0})
@@ -275,6 +289,14 @@ def test_complex_evaluation():
         ("1e308*10", {}, "1e+308 * 10.0"),  # a real scalar product overflowing
         ("x - x", {"x": np.inf}, "x - x"),  # nan from a bound value
         ("exp(x)", {"x": np.array([0.0, 800.0])}, "exp(x)"),
+        ("0^(-1)", {}, "0.0^(-1.0)"),  # a float power that raises ZeroDivisionError
+        # a scalar fails with the message of a one-element array
+        ("ln(x)", {"x": 0.0}, "ln(x)"),
+        ("ln(x)", {"x": np.array([0.0])}, "ln(x)"),
+        ("1/x", {"x": 0.0}, "1.0 / x"),
+        ("1/x", {"x": np.array([0.0])}, "1.0 / x"),
+        ("sqrt(x)", {"x": -4.0}, "sqrt(x)"),
+        ("sqrt(x)", {"x": np.array([-4.0])}, "sqrt(x)"),
     ],
 )
 def test_non_finite_results_raise_naming_the_expression(text, env, shown):
