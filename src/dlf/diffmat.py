@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DlfBasis, _cardinals, _terms
+from .basis import DlfBasis, _table
 from .errors import FdStepError, InvalidParameterError
 
 __all__ = [
@@ -190,18 +190,27 @@ def dm_oracle_fd(basis: DlfBasis, m: int, step: float | None = None) -> DiffMatr
     shifts = np.array([off for off in offsets if off != 0], dtype=float)
 
     def matrix_at(scale: float) -> np.ndarray:
-        h = step * mean_gap * scale
-        # every off-node stencil point at once, one (k, j) block per shift
-        pts = xs[None, :] + shifts[:, None] * h
-        vals = _cardinals(basis, _terms(basis, pts.ravel()))
-        blocks = iter(vals.reshape(size, len(shifts), size).transpose(1, 2, 0))
-        out = np.zeros((size, size))
-        for off, c in zip(offsets, coeffs):
-            if off == 0:
-                out[np.diag_indices(size)] += c  # delta_kj, exact by construction
-            else:
-                out += c * next(blocks)
-        return out / h**hpow
+        with np.errstate(all="ignore"):
+            h = step * mean_gap * scale
+            hm = h**hpow
+            # every off-node stencil point at once, one (k, j) block per shift
+            pts = xs[None, :] + shifts[:, None] * h
+            vals = _table(basis, pts.ravel())
+            blocks = iter(vals.reshape(size, len(shifts), size).transpose(1, 2, 0))
+            out = np.zeros((size, size))
+            for off, c in zip(offsets, coeffs):
+                if off == 0:
+                    out[np.diag_indices(size)] += c  # delta_kj, exact by construction
+                else:
+                    out += c * next(blocks)
+            out /= hm
+        # a table entry or h**m that is not finite leaves a non-finite or a zero matrix
+        if not (np.isfinite(hm) and np.isfinite(out).all()):
+            raise InvalidParameterError(
+                f"finite-difference stencil of order {m} at step {h:.3e} is not finite; "
+                "the domain is too wide or too narrow for the oracle"
+            )
+        return out
 
     a1, a2, a3 = matrix_at(1.0), matrix_at(0.5), matrix_at(0.25)
     r_coarse = (16.0 * a2 - a1) / 15.0

@@ -3,15 +3,17 @@
 Coefficients are nodal values: building an interpolant from samples is
 storage, not a linear solve, and evaluation at a node returns the matching
 coefficient exactly.  Coefficients are ordered with the last dimension
-fastest (C-order flattening of the value grid).  Evaluation builds one
-``lagrange_matrix`` per dimension and contracts it with the coefficient
-grid one dimension at a time (the dense tensor form of Trefethen,
-*Spectral Methods in MATLAB*, ch. 7).
+fastest (C-order flattening of the value grid).  Evaluation walks the
+points one block at a time: it builds one ``lagrange_matrix`` per dimension
+for the block and contracts it with the coefficient grid one dimension at a
+time (the dense tensor form of Trefethen, *Spectral Methods in MATLAB*,
+ch. 7), so memory is O(block + K), not O(N K).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ import numpy as np
 
 # interp.validate_basis is not called here; it stays because perfbench/tracing.py patches it
 from .basis import (
+    _BLOCK_ENTRIES,
     DlfBasis,
     basis_from_spec,
     lagrange_matrix,
@@ -93,33 +96,55 @@ def eval_interpolant(itp: TensorInterpolant, x):
 
     ``x`` is one point of shape ``(p,)`` (float out) or K points of shape
     ``(K, p)`` (shape ``(K,)`` out).  For ``p = 1`` a scalar is one point
-    and a ``(K,)`` array is K points.
+    and a ``(K,)`` array is K points.  The points are taken in blocks short
+    enough that every table and partial sum of a block holds at most 2**16
+    entries (blocks of one point when a slice of the coefficient grid alone
+    is longer).  A value that is not finite raises
+    :class:`InvalidParameterError` naming its point.
     """
     p = itp.ndim
     pts = np.asarray(x)
     if pts.ndim == 0 and p == 1:
-        return float(lagrange_values(itp.bases[0], x) @ itp.coeffs)
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = float(lagrange_values(itp.bases[0], x) @ itp.coeffs)
+        if not math.isfinite(value):
+            raise _not_finite(x)
+        return value
     single = pts.ndim == 1 and p > 1
     if single:
         pts = pts[None, :]
     elif pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != p:
+    if pts.ndim != 2 or pts.shape[1] != p or len(pts) == 0:
         raise InvalidParameterError(
-            f"points must have shape ({p},) or (K, {p}), got {np.shape(x)}"
+            f"points must have shape ({p},) or (K, {p}) with K > 0, got {np.shape(x)}"
         )
-    k = pts.shape[0]
-    # the first contraction stays a BLAS matmul: for p = 1 it is the whole sum,
-    # bit for bit lagrange_matrix(...).T @ coeffs (an einsum would round differently)
-    vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ itp.coeffs.reshape(
-        itp.bases[0].size, -1
+    coeffs = itp.coeffs.reshape(itp.bases[0].size, -1)
+    step = max(1, _BLOCK_ENTRIES // max(coeffs.shape))
+    out = np.empty(len(pts), np.result_type(pts, float))
+    for start in range(0, len(out), step):
+        block = pts[start : start + step]
+        # each table is dropped once contracted, so a block holds one at a time
+        with np.errstate(invalid="ignore", over="ignore"):
+            # the first contraction stays a BLAS matmul: for p = 1 it is the whole sum,
+            # bit for bit lagrange_matrix(...).T @ coeffs on the block
+            vals = lagrange_matrix(itp.bases[0], block[:, 0]).T @ coeffs
+            for d, basis in enumerate(itp.bases[1:], 1):
+                vals = vals.reshape(len(block), basis.size, -1)
+                vals = np.einsum("kir,ik->kr", vals, lagrange_matrix(basis, block[:, d]))
+        # a table entry that is not finite, or a sum that overflows, leaves its
+        # value not finite, so the block's K values are all there is to check
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise _not_finite(block[np.argmin(finite)])
+        out[start : start + step] = vals.reshape(-1)
+    return float(out[0]) if single else out
+
+
+def _not_finite(point) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"interpolant value is not finite at x = {np.asarray(point).tolist()}"
     )
-    for d in range(1, p):
-        table = lagrange_matrix(itp.bases[d], pts[:, d])
-        vals = vals.reshape(k, itp.bases[d].size, -1)
-        vals = np.einsum("kir,ik->kr", vals, table)
-    vals = vals.reshape(k)
-    return float(vals[0]) if single else vals
 
 
 # ---------------------------------------------------------------------------

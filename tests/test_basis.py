@@ -25,6 +25,7 @@ from dlf.basis import (
     make_psi_family,
     validate_basis,
     weight_eval,
+    _cardinals,
     _terms,
 )
 from dlf.errors import (
@@ -35,7 +36,7 @@ from dlf.errors import (
     SeparationError,
     UnsupportedKindError,
 )
-from dlf.interp import eval_interpolant, interpolate_1d
+from dlf.interp import eval_interpolant, interpolate_1d, interpolate_nd
 
 from conftest import FAMILY_CASES, HOMOGENEOUS_CASES, KIND_CASES, build_basis
 
@@ -198,7 +199,7 @@ def test_blocked_table_equals_one_block_calls(kind, rng):
     xs[7] = basis.nodes.nodes[3]
     if 0.0 in basis.nodes.nodes:
         xs[2 * step + 1] = 1e-160  # the factor-by-factor route, in a later block
-        assert np.abs(_terms(basis, xs[2 * step + 1])).min() <= 1e-150
+        assert np.abs(_terms(basis, xs[2 * step + 1])[0]).min() <= 1e-150
     table = lagrange_matrix(basis, xs)
     assert table.flags.c_contiguous
     blocks = [lagrange_matrix(basis, xs[s : s + step]) for s in range(0, len(xs), step)]
@@ -238,6 +239,19 @@ def test_shared_row_is_the_formula(kind, order, rng):
     assert all(row.tobytes() == expected.tobytes() for row in table)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["exponential", "fourier-sin", "fourier-cos", "mixed"])
+def test_per_index_rows_are_the_formula(kind, order, rng):
+    # the default rates and freqs differ by index; complex points are the contour's
+    fam = make_psi_family(kind, {"split": 3} if kind == "mixed" else {}, size=7)
+    for xs in (rng.uniform(-1.0, 1.0, 50), rng.uniform(-1.0, 1.0, 20) + 0.5j):
+        table = fam.values_at(xs, order)
+        for i, row in enumerate(table):
+            own = kind if kind != "mixed" else "exponential" if i <= 3 else "fourier-sin"
+            params = {key: fam.params[key][i] for key in ("rates", "freqs") if key in fam.params}
+            assert row.tobytes() == np.asarray(_formula(own, params, xs, order)).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["identity", "fourier-cos"])
 def test_blocked_table_peak_memory_is_about_the_output(kind):
     kind, params, (a, b) = KIND_CASES[kind]
@@ -250,6 +264,99 @@ def test_blocked_table_peak_memory_is_about_the_output(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table.nbytes, peak / table.nbytes
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(KIND_CASES.values()) + [("fourier-sin", {}, (0.1, 0.4))],
+    ids=list(KIND_CASES) + ["fourier-sin-per-index"],
+)
+def test_eval_interpolant_peak_memory_is_about_the_output(case):
+    # the (N+1) x K table was 100.7 MiB here before evaluation went by blocks;
+    # a block's table is 0.5 MiB, and a second one alive would pass 1 MiB
+    kind, params, (a, b) = case
+    basis = build_basis(kind, params, n=64, a=a, b=b)
+    itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
+    xs = np.linspace(a, b, 200_000)
+    tracemalloc.start()
+    try:
+        values = eval_interpolant(itp, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
+    assert peak <= values.nbytes + 2**20, (peak - values.nbytes) / 2**20
+
+
+def test_tensor_eval_peak_memory_is_about_the_output():
+    # 29 x 29 nodes at 100,000 points reached 45.3 MiB before evaluation went by blocks
+    basis = build_basis("identity", n=28)
+    itp = interpolate_nd([basis, basis], np.cos(np.arange(29 * 29)))
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (100_000, 2))
+    tracemalloc.start()
+    try:
+        values = eval_interpolant(itp, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 4 * 2**20, peak / 2**20
+
+
+def _smallest_term_table(basis, xs):
+    """The cardinal table with its odd columns found by the smallest |term| of each."""
+    terms = _terms(basis, xs)[0]
+    with np.errstate(all="ignore"):
+        odd = np.flatnonzero(~(abs(terms).min(axis=0) > 1e-150))
+    return _cardinals(basis, terms, odd)
+
+
+def _psi_midpoints(basis):
+    """Between each pair of neighbouring nodes, the point where psi_0 is halfway."""
+    psi = lambda x: basis.psi.values_at(x)[0]
+    lo, hi = basis.nodes.nodes[:-1].copy(), basis.nodes.nodes[1:].copy()
+    target = (psi(lo) + psi(hi)) / 2
+    rising = psi(hi) > psi(lo)
+    for _ in range(60):  # bisection
+        mid = (lo + hi) / 2
+        left = (psi(mid) < target) == rising
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return (lo + hi) / 2
+
+
+# homogeneous maps that are not monotone on their domain: psi(x_i) is not sorted
+NON_MONOTONE_CASES = [
+    ("fourier-sin", {"freqs": 1.0}, (0.0, 3.0)),
+    ("fourier-cos", {"freqs": 1.0}, (-1.3, 1.4)),
+]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+@pytest.mark.parametrize(
+    "case",
+    list(KIND_CASES.values()) + NON_MONOTONE_CASES,
+    ids=list(KIND_CASES) + ["fourier-sin-non-monotone", "fourier-cos-non-monotone"],
+)
+def test_node_hits_match_the_smallest_term_rule(case, n, rng):
+    kind, params, (a, b) = case
+    basis = build_basis(kind, params, n=n, a=a, b=b)
+    if case in NON_MONOTONE_CASES:
+        steps = np.diff(basis._psi_own)
+        assert np.any(steps > 0) and np.any(steps < 0)
+    nodes = basis.nodes.nodes
+    xs = np.concatenate(
+        [
+            nodes,
+            np.nextafter(nodes, np.inf)[:-1],
+            np.nextafter(nodes, -np.inf)[1:],
+            _psi_midpoints(basis),
+            rng.uniform(a, b, 50),
+            [1e-160, 5e-324, 1e-151, 1e-149] if 0.0 in nodes else [],
+        ]
+    )
+    table = lagrange_matrix(basis, xs)
+    assert table.tobytes() == _smallest_term_table(basis, xs).tobytes()
+    for k in range(0, len(xs), 7):
+        assert lagrange_values(basis, xs[k]).tobytes() == table[:, k].tobytes()
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)

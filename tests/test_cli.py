@@ -406,6 +406,20 @@ class TestDiffmatCommand:
         code, _, err = run_cli(capsys, "diffmat", "--route", "oracle", "--order", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["1", "2", "3"])
+    def test_oracle_on_a_domain_too_wide_for_its_stencil(self, capsys, tmp_path, order):
+        # the stencil's cardinal products overflow on [1, 1e300]; this ended as `internal`
+        target = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys, "diffmat", "--route", "oracle", "--N", "1", "--order", order,
+            "--domain=1,1e+300", "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        body = stderr_json(err)
+        assert body["error"] == "invalid-parameter"
+        assert body["message"].startswith(f"finite-difference stencil of order {order} ")
+        assert not target.exists()
+
     def test_power_route(self, capsys):
         code, out, _ = run_cli(capsys, "diffmat", "--N", "3", "--route", "power",
                                "--order", "2")
@@ -515,6 +529,22 @@ class TestInterpCommand:
         assert code == 1
         assert stderr_json(err)["error"] == "usage"
         assert not csv.exists() and not target.exists()
+
+    def test_samples_that_overflow_are_an_error_not_nan(self, capsys, tmp_path):
+        # between the nodes 1 and 1e300 the cardinal products overflow; this wrote
+        # 198 `nan` rows and exited 0 (`internal` with warnings as errors)
+        csv, target = tmp_path / "samples.csv", tmp_path / "itp.json"
+        code, out, err = run_cli(
+            capsys, "interp", "--family", "identity", "--N", "1", "--domain=1,1e+300",
+            "--expr", "1/(1+x^2)", "--samples", "200",
+            "--samples-out", str(csv), "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        body = stderr_json(err)
+        assert body["error"] == "invalid-parameter"
+        assert body["message"].startswith("interpolant value is not finite at x = ")
+        assert not csv.exists()
+        assert "nan" not in target.read_text().lower()
 
     @pytest.mark.parametrize(
         "expr,shown",

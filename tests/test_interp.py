@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlf.basis import (
+    _BLOCK_ENTRIES,
     FAMILY_KINDS,
     NodeSet,
     dlf_eval,
@@ -253,6 +254,66 @@ def test_nodal_grid_evaluation_matches_coefficients(rng):
     for i, x in enumerate(bx.nodes.nodes):
         for j, y in enumerate(by.nodes.nodes):
             assert eval_interpolant(itp, [x, y]) == grid[i, j]
+
+
+def _unblocked(itp, pts):
+    """The contraction over all of ``pts`` (shape (K, p)) at once, with no blocks."""
+    vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ itp.coeffs.reshape(itp.bases[0].size, -1)
+    for d in range(1, itp.ndim):
+        table = lagrange_matrix(itp.bases[d], pts[:, d])
+        vals = np.einsum("kir,ik->kr", vals.reshape(len(pts), table.shape[0], -1), table)
+    return vals.reshape(-1)
+
+
+# more points than one block holds, with a short last block
+@pytest.mark.parametrize("sizes", [(65,), (129,), (29, 29), (12, 40)], ids=["n65", "n129", "29x29", "12x40"])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_blocked_evaluation_is_the_per_block_contraction(kind, sizes, rng):
+    itp, (a, b) = _tensor_case(kind, sizes, rng)
+    step = _BLOCK_ENTRIES // max(sizes[0], int(np.prod(sizes[1:])))
+    pts = rng.uniform(a, b, size=(3 * step + 17, len(sizes)))
+    got = eval_interpolant(itp, pts)
+    blocks = [_unblocked(itp, pts[s : s + step]) for s in range(0, len(pts), step)]
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
+    # the whole table at once sums in another order: within 1e-15 of sum |c_i L_i(x)|
+    # (the largest gap measured over eight kinds, N 16-128 and 29 x 29 is 2.7e-16)
+    tables = [lagrange_matrix(basis, pts[:, d]) for d, basis in enumerate(itp.bases)]
+    spec = ",".join(["ab"[: itp.ndim]] + [f"{c}k" for c in "ab"[: itp.ndim]]) + "->k"
+    scale = np.einsum(spec, np.abs(itp.grid_values()), *map(np.abs, tables))
+    assert np.all(np.abs(got - _unblocked(itp, pts)) <= 1e-15 * scale)
+    # the defining product: within 1e-14 of the same scale (largest measured 2.8e-15)
+    few = pts[::50]
+    products = [
+        np.array([dlf_eval(basis, j, few[:, d]) for j in range(basis.size)])
+        for d, basis in enumerate(itp.bases)
+    ]
+    want = np.einsum(spec, itp.grid_values(), *products)
+    assert np.all(np.abs(got[::50] - want) <= 1e-14 * scale[::50])
+
+
+@pytest.mark.parametrize("sizes", [(129,), (29, 29)], ids=["n129", "29x29"])
+def test_blocked_evaluation_at_nodes_returns_coefficients(sizes, rng):
+    itp, _ = _tensor_case("rational", sizes, rng)
+    nodes = [basis.nodes.nodes for basis in itp.bases]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=1)
+    repeats = 2 * _BLOCK_ENTRIES // len(grid) + 1  # several blocks
+    got = eval_interpolant(itp, np.tile(grid, (repeats, 1)))
+    assert got.tobytes() == np.tile(itp.coeffs, repeats).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_value_that_is_not_finite_names_its_point(p):
+    # L_0 and L_1 overflow between the nodes 1 and 1e300 while every map value is finite
+    basis = build_basis("identity", n=1, a=1.0, b=1e300)
+    itp = interpolate_nd([basis] * p, np.ones(2**p))
+    pts = np.full((5, p), 2.0)
+    pts[3, 0] = 1e299
+    with pytest.raises(InvalidParameterError, match="not finite at x = \\[1e\\+299"):
+        eval_interpolant(itp, pts)
+    if p == 1:
+        with pytest.raises(InvalidParameterError, match="not finite at x = 1e\\+299"):
+            eval_interpolant(itp, 1e299)
+    np.testing.assert_allclose(eval_interpolant(itp, pts[:3]), 1.0, rtol=1e-15)
 
 
 # -- persistence -----------------------------------------------------------
