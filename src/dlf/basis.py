@@ -20,9 +20,8 @@ which divides the full product by each term and by the cached node-gap
 products (factor by factor where a term is zero or tiny);
 :func:`lagrange_matrix` feeds it cache-sized blocks of points.  A family
 whose indices share one map (:attr:`PsiFamily.is_homogeneous`) evaluates
-that map once per point, and with 64 or more nodes finds its zero or tiny
-terms at real points from that one row.  :func:`dlf_eval` forms the defining product above and
-is the only reference the kernel is tested against.
+that map once per point.  :func:`dlf_eval` forms the defining product above
+and is the only reference the kernel is tested against.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -84,12 +83,6 @@ _RATIONAL_VARIANTS = ("x/(x+L)", "(x-L)/(x+L)")
 #: entries per block of a cardinal table (512 KB), so that a block's
 #: temporaries stay in a 2 MB L2 cache
 _BLOCK_ENTRIES = 2**16
-
-#: node count from which a shared map finds its node hits by a binary search
-#: of its row instead of by testing every term: per block of 2**16 entries
-#: the search took 42 us against 24 us at 17 nodes, 20 against 25 at 65 and
-#: 27 against 37 at 129
-_SEARCH_MIN_NODES = 64
 
 # practical cap for kinds whose derivatives exist in closed form at any order
 _UNBOUNDED_ORDER = 100
@@ -217,24 +210,17 @@ class PsiFamily:
             strength = L if self.params["variant"] == "x/(x+L)" else 2.0 * L
             sign = 1.0 if order % 2 == 1 else -1.0
             return sign * math.factorial(order) * strength / shifted ** (order + 1)
-        # the per-index kinds below form their (size, K) table in place: a second
-        # table-sized temporary per block makes the allocator return and refault
-        # the memory on every block
         if kind == "exponential":
             w = self.params["rates"][rows, None]
-            out = w * x
-            np.exp(out, out=out)
-            out *= w ** order
-            return out
+            return w ** order * np.exp(w * x)
         if kind in ("fourier-sin", "fourier-cos"):
             w = self.params["freqs"][rows, None]
-            out = w * x
-            out += order * np.pi / 2
+            phase = w * x + order * np.pi / 2
             trig = np.sin if kind == "fourier-sin" else np.cos
-            trig(out, out=out)
-            out *= w ** order
-            return out
+            return w ** order * trig(phase)
         if kind == "mixed":
+            # formed in place: concatenating two halves put a second (size, K)
+            # table and a refault of its memory into every block
             split = self.params["split"]
             rates, freqs = self.params["rates"], self.params["freqs"]
             w = np.concatenate([rates[: split + 1], freqs[split + 1 :]])[:, None]
@@ -499,7 +485,6 @@ class DlfBasis:
     wsecond_at_nodes: np.ndarray
     # internal caches
     _psi_own: np.ndarray = field(repr=False, default=None)  # psi_i(x_i)
-    _psi_sorted: np.ndarray = field(repr=False, default=None)  # psi_i(x_i), ascending
     _f_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j) - psi_i(x_i)
     _denom_prod: np.ndarray = field(repr=False, default=None)
     _dpsi_own: np.ndarray = field(repr=False, default=None)  # psi_j'(x_j)
@@ -590,7 +575,6 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
         wprime_at_nodes=wprime,
         wsecond_at_nodes=wsecond,
         _psi_own=psi_own,
-        _psi_sorted=np.sort(psi_own),
         _f_tab=f_tab,
         _denom_prod=denom_prod,
         _dpsi_own=dpsi_own,
@@ -645,22 +629,14 @@ def basis_from_spec(family: dict, nodes: dict, n, domain) -> DlfBasis:
 # ---------------------------------------------------------------------------
 
 
-def _terms(basis: DlfBasis, x):
-    """``(terms, row)`` with ``terms = psi_i(x) - psi_i(x_i)`` and ``row = psi(x)``.
-
-    ``terms`` has shape ``(size,)`` for scalar ``x``, else ``(size, K)`` in C
-    order.  ``row`` is the one map of a homogeneous family at ``x``, and
-    ``None`` for a family whose maps differ.
-    """
+def _terms(basis: DlfBasis, x) -> np.ndarray:
+    """``psi_i(x) - psi_i(x_i)``: shape ``(size,)`` for scalar ``x``, else ``(size, K)``."""
     x = np.asarray(x)
     vals = basis.psi.values_at(x.astype(np.result_type(x, float), copy=False))
-    if vals.flags.writeable:
-        np.subtract(vals.T, basis._psi_own, out=vals.T)
-        return vals, None
     # a shared map's broadcast row is read-only; the cardinal table must be C order
-    out = np.empty_like(vals, order="C")
+    out = vals if vals.flags.writeable else np.empty_like(vals, order="C")
     np.subtract(vals.T, basis._psi_own, out=out.T)
-    return out, vals[0]
+    return out
 
 
 def weight_eval(basis: DlfBasis, x):
@@ -670,7 +646,7 @@ def weight_eval(basis: DlfBasis, x):
     Accepts complex ``x`` for contour integration, and 1-d arrays.
     """
     basis._check_point(x)
-    return _terms(basis, x)[0].prod(axis=0)
+    return _terms(basis, x).prod(axis=0)
 
 
 def dlf_eval(basis: DlfBasis, j: int, x):
@@ -678,7 +654,7 @@ def dlf_eval(basis: DlfBasis, j: int, x):
     if not 0 <= j < basis.size:
         raise InvalidParameterError(f"basis index {j} outside 0..{basis.size - 1}")
     basis._check_point(x)
-    terms = _terms(basis, x)[0]
+    terms = _terms(basis, x)
     out = None
     for i in range(basis.size):
         if i == j:
@@ -726,26 +702,15 @@ def _table(basis: DlfBasis, x) -> np.ndarray:
     The one entry point of :func:`_cardinals`.  It finds the columns with a
     term at or below 1e-150 in magnitude.  At real points every term is
     compared with -1e-150 and 1e-150 (the maps are finite, so no term is
-    NaN).  A
-    homogeneous family with at least ``_SEARCH_MIN_NODES`` nodes instead
-    compares ``v = psi(x)`` with its two neighbours in the sorted
-    ``psi(x_i)``, in O(K log N): rounding is monotone, so the smallest
-    ``|fl(v - psi(x_i))|`` is at one of them, and the columns found are the
-    same.  Complex points take the smallest ``|term|`` of each column.
+    NaN), which needs no table-sized float temporary.  Complex points take
+    the smallest ``|term|`` of each column.
     """
-    terms, row = _terms(basis, x)
-    terms = terms.reshape(basis.size, -1)
-    if terms.dtype.kind == "f" and (row is None or basis.size < _SEARCH_MIN_NODES):
-        odd = np.logical_or.reduce((terms >= -1e-150) & (terms <= 1e-150))
+    terms = _terms(basis, x).reshape(basis.size, -1)
+    if terms.dtype.kind == "c":
+        with np.errstate(all="ignore"):  # |term| may overflow
+            odd = ~(abs(terms).min(axis=0) > 1e-150)
     else:
-        with np.errstate(all="ignore"):  # |term| and v - psi(x_i) may overflow
-            if terms.dtype.kind == "c":
-                odd = ~(abs(terms).min(axis=0) > 1e-150)
-            else:
-                own, row = basis._psi_sorted, np.reshape(row, -1)
-                k = np.searchsorted(own, row)
-                below, above = own.take(k - 1, mode="clip"), own.take(k, mode="clip")
-                odd = ~(np.minimum(abs(row - below), abs(row - above)) > 1e-150)
+        odd = np.logical_or.reduce((terms >= -1e-150) & (terms <= 1e-150))
     return _cardinals(basis, terms, odd.nonzero()[0])
 
 

@@ -199,7 +199,7 @@ def test_blocked_table_equals_one_block_calls(kind, rng):
     xs[7] = basis.nodes.nodes[3]
     if 0.0 in basis.nodes.nodes:
         xs[2 * step + 1] = 1e-160  # the factor-by-factor route, in a later block
-        assert np.abs(_terms(basis, xs[2 * step + 1])[0]).min() <= 1e-150
+        assert np.abs(_terms(basis, xs[2 * step + 1])).min() <= 1e-150
     table = lagrange_matrix(basis, xs)
     assert table.flags.c_contiguous
     blocks = [lagrange_matrix(basis, xs[s : s + step]) for s in range(0, len(xs), step)]
@@ -266,15 +266,11 @@ def test_blocked_table_peak_memory_is_about_the_output(kind):
     assert peak <= 1.25 * table.nbytes, peak / table.nbytes
 
 
-@pytest.mark.parametrize(
-    "case",
-    list(KIND_CASES.values()) + [("fourier-sin", {}, (0.1, 0.4))],
-    ids=list(KIND_CASES) + ["fourier-sin-per-index"],
-)
-def test_eval_interpolant_peak_memory_is_about_the_output(case):
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_eval_interpolant_peak_memory_is_about_the_output(kind):
     # the (N+1) x K table was 100.7 MiB here before evaluation went by blocks;
     # a block's table is 0.5 MiB, and a second one alive would pass 1 MiB
-    kind, params, (a, b) = case
+    kind, params, (a, b) = KIND_CASES[kind]
     basis = build_basis(kind, params, n=64, a=a, b=b)
     itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
     xs = np.linspace(a, b, 200_000)
@@ -304,7 +300,7 @@ def test_tensor_eval_peak_memory_is_about_the_output():
 
 def _smallest_term_table(basis, xs):
     """The cardinal table with its odd columns found by the smallest |term| of each."""
-    terms = _terms(basis, xs)[0]
+    terms = _terms(basis, xs)
     with np.errstate(all="ignore"):
         odd = np.flatnonzero(~(abs(terms).min(axis=0) > 1e-150))
     return _cardinals(basis, terms, odd)
