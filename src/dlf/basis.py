@@ -15,9 +15,9 @@ needs (first and second derivatives of the node-product function ``w`` at
 the nodes, and the scale factors ``mu_j``).
 
 Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
-through one block entry point, ``_table``, and one kernel, ``_cardinals``,
-which divides the full product by each term and by the cached node-gap
-products (factor by factor where a term is zero or tiny);
+through one block kernel, ``_table``, which divides the full product by
+each term and by the cached node-gap products (factor by factor where that
+product is zero, subnormal or not finite);
 :func:`lagrange_matrix` feeds it cache-sized blocks of points.  A family
 whose indices share one map (:attr:`PsiFamily.is_homogeneous`) evaluates
 that map once per point.  :func:`dlf_eval` forms the defining product above
@@ -83,6 +83,10 @@ _RATIONAL_VARIANTS = ("x/(x+L)", "(x-L)/(x+L)")
 #: entries per block of a cardinal table (512 KB), so that a block's
 #: temporaries stay in a 2 MB L2 cache
 _BLOCK_ENTRIES = 2**16
+
+#: the smallest normal float: a cardinal column whose full product is smaller
+#: in magnitude, or not finite, cannot divide it by each term
+_TINY = np.finfo(float).tiny
 
 # practical cap for kinds whose derivatives exist in closed form at any order
 _UNBOUNDED_ORDER = 100
@@ -450,8 +454,8 @@ def _node_values(scheme: str, N: int, a: float, b: float) -> np.ndarray:
     """The ``N + 1`` nodes of ``scheme`` on the finite interval ``[a, b]``."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise InvalidParameterError(f"node generation needs finite a < b, got [{a}, {b}]")
+    if not (a < b and math.isfinite(float(b) - float(a))):  # a or b infinite: so is b - a
+        raise InvalidParameterError(f"node generation needs finite a < b and b - a, got [{a}, {b}]")
     if scheme == "cgl":
         xi = -np.cos(np.arange(N + 1) * np.pi / N)
         xi = (xi - xi[::-1]) / 2  # enforce exact symmetry
@@ -644,10 +648,18 @@ def weight_eval(basis: DlfBasis, x):
     """The node-product function ``w(x) = prod_i (psi_i(x) - psi_i(x_i))``.
 
     Zero exactly (not just approximately) when ``x`` is one of the nodes.
-    Accepts complex ``x`` for contour integration, and 1-d arrays.
+    Accepts complex ``x`` for contour integration, and 1-d arrays.  A
+    product that overflows raises :class:`InvalidParameterError` naming its
+    point.
     """
     basis._check_point(x)
-    return _terms(basis, x).prod(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _terms(basis, x).prod(axis=0)
+    finite = np.isfinite(w)
+    if not finite.all():
+        bad = np.ravel(x)[np.argmin(np.ravel(finite))]
+        raise InvalidParameterError(f"node product w is not finite at x = {bad}")
+    return w
 
 
 def dlf_eval(basis: DlfBasis, j: int, x):
@@ -700,47 +712,33 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
 def _table(basis: DlfBasis, x) -> np.ndarray:
     """All ``L_j`` at one block of points: shape ``(size, K)``, ``K = 1`` for scalar ``x``.
 
-    The one entry point of :func:`_cardinals`.  It finds the columns with a
-    term at or below 1e-150 in magnitude.  At real points every term is
-    compared with -1e-150 and 1e-150 (the maps are finite, so no term is
-    NaN), which needs no table-sized float temporary.  Complex points take
-    the smallest ``|term|`` of each column.
+    The one cardinal kernel.  Each column is formed from its own terms
+    ``psi_i(x) - psi_i(x_i)`` alone, so a table built block by block is the
+    same to the bit.  A column whose full product ``P = prod_i term_i`` is a
+    normal finite number divides ``P`` by each term and by ``_denom_prod``.
+    Division cannot work in any other column (``P`` zero, subnormal,
+    overflowed, or NaN from inf times 0), real or complex, so it is formed
+    factor by factor: with two or more zero terms every ``L_j`` is 0, with
+    one zero at row ``i`` only ``L_i`` is nonzero, and with none every
+    ``L_j`` is the product of its factors.
     """
     terms = _terms(basis, x).reshape(basis.size, -1)
-    if terms.dtype.kind == "c":
-        with np.errstate(all="ignore"):  # |term| may overflow
-            odd = ~(abs(terms).min(axis=0) > 1e-150)
-    else:
-        odd = np.logical_or.reduce((terms >= -1e-150) & (terms <= 1e-150))
-    return _cardinals(basis, terms, odd.nonzero()[0])
-
-
-def _cardinals(basis: DlfBasis, terms: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """All ``L_j`` at K points from ``terms = psi_i(x) - psi_i(x_i)``, shape ``(size, K)``.
-
-    Overwrites and returns ``terms``.  Each column is formed from its own
-    terms alone, so a table built block by block is the same to the bit;
-    :func:`lagrange_matrix` passes cache-sized blocks of points, which keeps
-    the ``(size, K)`` temporaries small.  Columns not in ``odd`` (those
-    without zero or tiny terms) divide the full product by each term and by
-    ``_denom_prod``.  With two or more zeros every ``L_j`` is 0; with one
-    zero at row ``i`` only ``L_i`` is nonzero and, like every ``L_j`` of a
-    column with a term at or below 1e-150, is formed factor by factor.
-    """
     size = basis.size
     with np.errstate(all="ignore"):
+        full = terms.prod(axis=0)
+        odd = np.flatnonzero(~(abs(full) >= _TINY) | np.isinf(full))  # NaN fails >=
         if len(odd):
             zeros = np.count_nonzero(terms[:, odd] == 0, axis=0)
-            one, tiny = odd[zeros == 1], odd[zeros == 0]
+            one, none = odd[zeros == 1], odd[zeros == 0]
             js = np.concatenate(
-                [np.argmax(terms[:, one] == 0, axis=0), np.tile(np.arange(size), len(tiny))]
+                [np.argmax(terms[:, one] == 0, axis=0), np.tile(np.arange(size), len(none))]
             )
-            cols = np.concatenate([one, np.repeat(tiny, size)])
+            cols = np.concatenate([one, np.repeat(none, size)])
             factors = terms[:, cols] / basis._f_tab[:, js]
             factors[js, np.arange(len(js))] = 1.0
             # down each column in row order, as a scalar loop over r != j would
             slow = factors.prod(axis=0)
-        np.divide(terms.prod(axis=0), terms, out=terms)
+        np.divide(full, terms, out=terms)
         terms /= basis._denom_prod[:, None]
     if len(odd):
         terms[:, odd[zeros > 0]] = 0.0

@@ -32,6 +32,17 @@ def build_basis(kind="identity", params=None, n=8, a=-1.0, b=1.0, scheme="cgl"):
     return validate_basis(fam, nodes)
 
 
+def underflow_basis():
+    # 26 nodes 1.2e-10 apart: at x = 1e-120 no term is below 1e-150, yet the
+    # product of all 26 underflows to 0
+    return build_basis("identity", n=25, a=0.0, b=3e-9, scheme="equispaced")
+
+
+def overflow_basis():
+    # at x = 1e299 the product of the two terms overflows, while L_0 and L_1 do not
+    return build_basis("identity", n=1, a=1.0, b=1e300)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

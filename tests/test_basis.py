@@ -25,7 +25,6 @@ from dlf.basis import (
     make_psi_family,
     validate_basis,
     weight_eval,
-    _cardinals,
     _terms,
 )
 from dlf.errors import (
@@ -38,7 +37,14 @@ from dlf.errors import (
 )
 from dlf.interp import eval_interpolant, interpolate_1d, interpolate_nd
 
-from conftest import FAMILY_CASES, HOMOGENEOUS_CASES, KIND_CASES, build_basis
+from conftest import (
+    FAMILY_CASES,
+    HOMOGENEOUS_CASES,
+    KIND_CASES,
+    build_basis,
+    overflow_basis,
+    underflow_basis,
+)
 
 
 def square_map_basis():
@@ -159,8 +165,8 @@ def test_batched_kernel_matches_product_form(kind, rng):
         lagrange_matrix(basis, basis.nodes.nodes), np.eye(basis.size)
     )
     if 0.0 in basis.nodes.nodes:
-        # a term of 1e-160 (identity, generalized, rational: psi(0) = 0) sends
-        # the point down the factor-by-factor route
+        # a term of 1e-160 (identity, generalized, rational: psi(0) = 0) in a
+        # product that is still normal, so the column divides
         tiny = np.array([1e-160, 0.5 * b])
         table = lagrange_matrix(basis, tiny)
         reference = np.array([dlf_eval(basis, j, tiny) for j in range(basis.size)])
@@ -198,8 +204,9 @@ def test_blocked_table_equals_one_block_calls(kind, rng):
     xs = rng.uniform(a, b, 3 * step + 5)
     xs[7] = basis.nodes.nodes[3]
     if 0.0 in basis.nodes.nodes:
-        xs[2 * step + 1] = 1e-160  # the factor-by-factor route, in a later block
-        assert np.abs(_terms(basis, xs[2 * step + 1])).min() <= 1e-150
+        # a product that underflows takes the factor-by-factor route, in a later block
+        xs[2 * step + 1] = 5e-324
+        assert np.abs(_terms(basis, xs[2 * step + 1]).prod()) < np.finfo(float).tiny
     table = lagrange_matrix(basis, xs)
     assert table.flags.c_contiguous
     blocks = [lagrange_matrix(basis, xs[s : s + step]) for s in range(0, len(xs), step)]
@@ -298,12 +305,23 @@ def test_tensor_eval_peak_memory_is_about_the_output():
     assert peak <= values.nbytes + 4 * 2**20, peak / 2**20
 
 
-def _smallest_term_table(basis, xs):
-    """The cardinal table with its odd columns found by the smallest |term| of each."""
+def _earlier_rule_table(basis, xs):
+    """The cardinal table by the rule the product test replaced: a column with a term
+    in [-1e-150, 1e-150] is formed factor by factor in row order, any other one
+    divides its full product by each term."""
     terms = _terms(basis, xs)
+    odd = np.logical_or.reduce((terms >= -1e-150) & (terms <= 1e-150))
     with np.errstate(all="ignore"):
-        odd = np.flatnonzero(~(abs(terms).min(axis=0) > 1e-150))
-    return _cardinals(basis, terms, odd)
+        table = terms.prod(axis=0) / terms / basis._denom_prod[:, None]
+        for k in np.flatnonzero(odd):
+            factors = terms[:, k, None] / basis._f_tab  # term_r / gap_rj in row r, column j
+            np.fill_diagonal(factors, 1.0)
+            column = factors.prod(axis=0)
+            zeros = terms[:, k] == 0
+            if zeros.any():  # only L_i of a lone zero term i is nonzero; with two zeros, none
+                column = np.where(zeros & (zeros.sum() == 1), column, 0.0)
+            table[:, k] = column
+    return table
 
 
 def _psi_midpoints(basis):
@@ -333,6 +351,9 @@ NON_MONOTONE_CASES = [
     ids=list(KIND_CASES) + ["fourier-sin-non-monotone", "fourier-cos-non-monotone"],
 )
 def test_node_hits_match_the_smallest_term_rule(case, n, rng):
+    # the earlier rule sent every column with a term of at most 1e-150 in magnitude
+    # down the factor route; the product rule sends exactly those whose product is
+    # not normal, so the two agree to the bit wherever no term is in (0, 1e-150]
     kind, params, (a, b) = case
     basis = build_basis(kind, params, n=n, a=a, b=b)
     if case in NON_MONOTONE_CASES:
@@ -350,9 +371,57 @@ def test_node_hits_match_the_smallest_term_rule(case, n, rng):
         ]
     )
     table = lagrange_matrix(basis, xs)
-    assert table.tobytes() == _smallest_term_table(basis, xs).tobytes()
+    magnitudes = np.abs(_terms(basis, xs))
+    tiny = np.any((magnitudes > 0) & (magnitudes <= 1e-150), axis=0)
+    reference = _earlier_rule_table(basis, xs)
+    assert table[:, ~tiny].tobytes() == reference[:, ~tiny].tobytes()
+    if tiny.any():
+        exact = np.array([dlf_eval(basis, j, xs[tiny]) for j in range(basis.size)])
+        assert np.all(np.abs(table[:, tiny] - exact) <= 1e-14)
     for k in range(0, len(xs), 7):
         assert lagrange_values(basis, xs[k]).tobytes() == table[:, k].tobytes()
+
+
+def test_product_that_underflows_is_formed_factor_by_factor():
+    basis = underflow_basis()
+    xs = np.array([1e-120, 1e-140, 1.5e-9])
+    assert np.all(np.abs(_terms(basis, xs)) > 1e-150)
+    assert weight_eval(basis, 1e-120) == 0.0
+    itp = interpolate_1d(basis, np.ones(basis.size))
+    np.testing.assert_allclose(eval_interpolant(itp, xs), 1.0, rtol=1e-15)
+    table = lagrange_matrix(basis, xs)
+    reference = np.array([dlf_eval(basis, j, xs) for j in range(basis.size)])
+    np.testing.assert_allclose(table, reference, rtol=1e-15, atol=0)
+
+
+def test_product_that_overflows_is_formed_factor_by_factor():
+    basis = overflow_basis()
+    with np.errstate(over="ignore"):
+        assert np.isinf(_terms(basis, 1e299).prod())
+    np.testing.assert_allclose(lagrange_values(basis, 1e299), [0.9, 0.1], rtol=1e-15)
+    itp = interpolate_1d(basis, np.array([0.5, 0.0]))
+    assert eval_interpolant(itp, 1e299) == pytest.approx(0.45, rel=1e-15)
+
+
+def test_complex_points_take_the_same_rule(rng):
+    # off the real axis, at a node given as x_k + 0j, and at 1e-320j, where the
+    # product underflows (identity has a node at 0)
+    for kind, params, (a, b) in [("rational", {"L": 1.0}, (0.0, 1.0)), ("identity", {}, (-1.0, 1.0))]:
+        basis = build_basis(kind, params, n=8, a=a, b=b)
+        zs = np.concatenate(
+            [rng.uniform(a, b, 20) + 1j * rng.uniform(-0.5, 0.5, 20), [basis.nodes.nodes[3] + 0j, 1e-320j]]
+        )
+        table = lagrange_matrix(basis, zs)
+        assert table.dtype == complex
+        # the Kronecker column: a zero term leaves only L_3, whose factors are each
+        # within rounding of 1 (numpy's complex psi(x_k + 0j) may differ from psi(x_k))
+        assert np.flatnonzero(table[:, 20]).tolist() == [3]
+        assert abs(table[3, 20] - 1.0) <= 1e-15
+        reference = np.array([dlf_eval(basis, j, zs) for j in range(basis.size)])
+        scale = np.abs(reference).max(axis=0)
+        assert np.all(np.abs(table - reference) <= 4e-15 * scale)
+        for k in (0, 20, 21):  # numpy's complex arithmetic may round one point differently
+            assert np.all(np.abs(lagrange_values(basis, zs[k]) - table[:, k]) <= 4e-15 * scale[k])
 
 
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
@@ -606,6 +675,16 @@ def test_map_overflow_between_nodes_raises_naming_the_point(name, call):
     assert str(exc.value) == "kind 'exponential' map of order 0 is not finite at x = 1000.0"
 
 
+@pytest.mark.parametrize("x, shown", [(300.0, "300.0"), (np.array([0.5, 300.0, 400.0]), "300.0")])
+def test_weight_that_overflows_raises_naming_the_point(x, shown):
+    # every map value is finite at 300, while w(300) = prod_i (e^300 - e^x_i) is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as exc:
+            weight_eval(exponential_half_line_basis(), x)
+    assert str(exc.value) == f"node product w is not finite at x = {shown}"
+
+
 def test_map_rule_names_the_order_and_the_first_bad_point():
     fam = make_psi_family("rational", {"L": [1.0, 2.0, 3.0]}, size=3)
     with pytest.raises(InvalidParameterError) as exc:
@@ -659,6 +738,8 @@ def test_equispaced_nodes():
         lambda: generate_nodes("cgl", 0, 0.0, 1.0),
         lambda: generate_nodes("cgl", 4, 1.0, 0.0),
         lambda: generate_nodes("cgl", 4, 0.0, np.inf),
+        lambda: generate_nodes("cgl", 4, -1e308, 1e308),  # b - a overflows
+        lambda: generate_nodes("equispaced", 4, -1e308, 1e308),
     ],
 )
 def test_generate_nodes_rejects(call):

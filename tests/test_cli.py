@@ -326,6 +326,18 @@ class TestBasisCommand:
         assert code == 0
         assert out.splitlines()[1].startswith("0,-1.0000000000000000e+00,")
 
+    @pytest.mark.parametrize("scheme", ["cgl", "equispaced"])
+    def test_domain_whose_width_overflows(self, capsys, scheme):
+        # b - a = inf: node generation warned and then failed with "nodes must be finite"
+        code, out, err = run_cli(
+            capsys, "basis", "--N", "4", "--scheme", scheme, "--domain=-1e308,1e308"
+        )
+        assert (code, out) == (2, "")
+        assert stderr_json(err) == {
+            "error": "invalid-parameter",
+            "message": "node generation needs finite a < b and b - a, got [-1e+308, 1e+308]",
+        }
+
     def test_bad_params_json(self, capsys):
         code, _, err = run_cli(capsys, "basis", "--params", "{nope}")
         assert code == 1
@@ -408,12 +420,21 @@ class TestDiffmatCommand:
 
     @pytest.mark.parametrize("order", ["1", "2", "3"])
     def test_oracle_on_a_domain_too_wide_for_its_stencil(self, capsys, tmp_path, order):
-        # the stencil's cardinal products overflow on [1, 1e300]; this ended as `internal`
+        # on [1, 1e300] the cardinal products overflow between the nodes, which the
+        # factor route absorbs; h**m overflows from order 2 on, which ended as `internal`
         target = tmp_path / "d.csv"
         code, out, err = run_cli(
             capsys, "diffmat", "--route", "oracle", "--N", "1", "--order", order,
             "--domain=1,1e+300", "--out", str(target),
         )
+        if order == "1":
+            from dlf.diffmat import d1_matrix
+            from conftest import build_basis
+
+            assert code == 0
+            exact = d1_matrix(build_basis("identity", n=1, a=1.0, b=1e300)).entries
+            np.testing.assert_allclose(np.loadtxt(target, delimiter=","), exact, rtol=4e-13)
+            return
         assert (code, out) == (2, "")
         body = stderr_json(err)
         assert body["error"] == "invalid-parameter"
@@ -530,21 +551,20 @@ class TestInterpCommand:
         assert stderr_json(err)["error"] == "usage"
         assert not csv.exists() and not target.exists()
 
-    def test_samples_that_overflow_are_an_error_not_nan(self, capsys, tmp_path):
-        # between the nodes 1 and 1e300 the cardinal products overflow; this wrote
-        # 198 `nan` rows and exited 0 (`internal` with warnings as errors)
+    def test_samples_whose_products_overflow_are_finite(self, capsys, tmp_path):
+        # between the nodes 1 and 1e300 the full cardinal products overflow, while
+        # L_0 and L_1 stay in [0, 1]; this once wrote 198 `nan` rows, later exited 2
         csv, target = tmp_path / "samples.csv", tmp_path / "itp.json"
-        code, out, err = run_cli(
+        code, _, _ = run_cli(
             capsys, "interp", "--family", "identity", "--N", "1", "--domain=1,1e+300",
             "--expr", "1/(1+x^2)", "--samples", "200",
             "--samples-out", str(csv), "--out", str(target),
         )
-        assert (code, out) == (2, "")
-        body = stderr_json(err)
-        assert body["error"] == "invalid-parameter"
-        assert body["message"].startswith("interpolant value is not finite at x = ")
-        assert not csv.exists()
-        assert "nan" not in target.read_text().lower()
+        assert code == 0
+        assert "nan" not in csv.read_text().lower() + target.read_text().lower()
+        xs, us = np.loadtxt(csv, delimiter=",", skiprows=1).T
+        # the line through u(1) = 0.5 and u(1e300) = 0
+        np.testing.assert_allclose(us, 0.5 * (1e300 - xs) / (1e300 - 1), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize(
         "expr,shown",

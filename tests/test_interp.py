@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import threading
 
@@ -13,6 +14,7 @@ from dlf.basis import (
     _BLOCK_ENTRIES,
     FAMILY_KINDS,
     NodeSet,
+    basis_from_spec,
     dlf_eval,
     generate_nodes,
     lagrange_matrix,
@@ -303,16 +305,16 @@ def test_blocked_evaluation_at_nodes_returns_coefficients(sizes, rng):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_value_that_is_not_finite_names_its_point(p):
-    # L_0 and L_1 overflow between the nodes 1 and 1e300 while every map value is finite
-    basis = build_basis("identity", n=1, a=1.0, b=1e300)
-    itp = interpolate_nd([basis] * p, np.ones(2**p))
-    pts = np.full((5, p), 2.0)
-    pts[3, 0] = 1e299
-    with pytest.raises(InvalidParameterError, match="not finite at x = \\[1e\\+299"):
+    # rate 1 on [0, inf]: every map value is finite at x = 300, while L_j(300) overflows
+    basis = basis_from_spec({"kind": "exponential", "params": {"rates": 1.0}}, {}, 8, (0, np.inf))
+    itp = interpolate_nd([basis] * p, np.ones(basis.size**p))
+    pts = np.full((5, p), 0.5)
+    pts[3, 0] = 300.0
+    with pytest.raises(InvalidParameterError, match=re.escape(f"not finite at x = {[300.0, 0.5][:p]}")):
         eval_interpolant(itp, pts)
     if p == 1:
-        with pytest.raises(InvalidParameterError, match="not finite at x = 1e\\+299"):
-            eval_interpolant(itp, 1e299)
+        with pytest.raises(InvalidParameterError, match="not finite at x = 300.0$"):
+            eval_interpolant(itp, 300.0)
     np.testing.assert_allclose(eval_interpolant(itp, pts[:3]), 1.0, rtol=1e-15)
 
 
