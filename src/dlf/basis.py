@@ -16,12 +16,14 @@ the nodes, and the scale factors ``mu_j``).
 
 Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
 through one block kernel, ``_table``, which divides the full product by
-each term and by the cached node-gap products (factor by factor where that
-product is zero, subnormal or not finite);
-:func:`lagrange_matrix` feeds it cache-sized blocks of points.  A family
-whose indices share one map (:attr:`PsiFamily.is_homogeneous`) evaluates
-that map once per point.  :func:`dlf_eval` forms the defining product above
-and is the only reference the kernel is tested against.
+each term and by the cached node-gap products; :func:`lagrange_matrix`
+feeds it cache-sized blocks of points (``_blocks``).  ``_block`` forms a
+block's terms and products and, where a product is zero, subnormal or not
+finite, its cardinal columns factor by factor; ``_table`` and the first
+barycentric form of ``interp.eval_interpolant`` share it.  A family
+evaluates each distinct map (same kind part, same parameter) once per
+point.  :func:`dlf_eval` forms the defining product above and is the only
+reference the kernel is tested against.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -84,6 +86,10 @@ _RATIONAL_VARIANTS = ("x/(x+L)", "(x-L)/(x+L)")
 #: temporaries stay in a 2 MB L2 cache
 _BLOCK_ENTRIES = 2**16
 
+#: a last block of points shorter than this share of a block joins the one
+#: before it: each block has a fixed cost, and a short one is mostly that
+_SHORT_BLOCK = 0.25
+
 #: the smallest normal float: a cardinal column whose full product is smaller
 #: in magnitude, or not finite, cannot divide it by each term
 _TINY = np.finfo(float).tiny
@@ -137,13 +143,31 @@ class PsiFamily:
     max_derivative_order: int = _UNBOUNDED_ORDER
     # cached derivative expressions for the generalized kind
     _deriv_chain: list = field(default_factory=list, repr=False)
-    _homogeneous: bool = field(init=False, repr=False)
+    # every index's row among the distinct maps (None when there is one map or
+    # a map per index), each distinct map's parameter as a column, and the
+    # number of exponential maps (their rows come first)
+    _row_of: np.ndarray | None = field(init=False, repr=False)
+    _w: np.ndarray = field(init=False, repr=False)
+    _n_exp: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        per_index = [self.params[k] for k in ("L", "rates", "freqs") if k in self.params]
-        self._homogeneous = self.kind != "mixed" and all(
-            np.all(v == v[0]) for v in per_index
-        )
+        # indices share a map when they share its kind part and its parameter
+        if self.kind == "mixed":
+            sine = np.arange(self.size) > self.params["split"]
+            param = np.where(sine, self.params["freqs"], self.params["rates"])
+            pairs = list(zip(sine.tolist(), param.tolist()))
+        else:
+            trig = self.kind in ("fourier-sin", "fourier-cos")
+            name = next((k for k in ("L", "rates", "freqs") if k in self.params), None)
+            param = self.params[name].tolist() if name else [0.0] * self.size
+            pairs = [(trig, v) for v in param]
+        rows = dict.fromkeys(pairs)  # the distinct maps, in order of first use
+        self._row_of = None
+        if 1 < len(rows) < self.size:
+            row = {pair: r for r, pair in enumerate(rows)}
+            self._row_of = np.array([row[pair] for pair in pairs])
+        self._w = np.array([v for _, v in rows], dtype=float)[:, None]
+        self._n_exp = sum(not trig for trig, _ in rows)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -151,9 +175,11 @@ class PsiFamily:
         """All ``psi_i^(order)(x)`` as an array of shape ``(size,)``.
 
         ``x`` may also be a 1-d array of points, giving shape ``(size, K)``.
-        A homogeneous family evaluates its one map once per point and
-        returns a read-only broadcast view of that row (stride 0 along the
-        index axis): copy it before writing.
+        Each distinct map (same kind part, same parameter) is evaluated once
+        per point.  With one distinct map the result is a read-only
+        broadcast view of its row (stride 0 along the index axis): copy it
+        before writing.  With a map per index it is the table itself, and
+        otherwise a gather of the distinct rows.
 
         This is the one finiteness rule for maps: a value that is not
         finite raises :class:`InvalidParameterError` naming the kind, the
@@ -163,22 +189,25 @@ class PsiFamily:
         """
         x = np.asarray(x)
         with np.errstate(all="ignore"):
-            out = self._values(x.reshape(1, -1), order)  # (size, K) or the shared (1, K)
+            out = self._values(x.reshape(1, -1), order)  # one row per distinct map
         finite = np.isfinite(out)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
             raise InvalidParameterError(
                 f"kind {self.kind!r} map of order {order} is not finite at x = {x.flat[k]}"
             )
-        if self._homogeneous:
+        if len(self._w) == 1:
             out = np.broadcast_to(out, (self.size, out.shape[1]))
+        elif self._row_of is not None:
+            out = out[self._row_of]
         return out[:, 0] if x.ndim == 0 else out
 
     def _values(self, x: np.ndarray, order: int) -> np.ndarray:
-        """Every ``psi_i^(order)`` at the K points of ``x`` (shape ``(1, K)``).
+        """Each distinct ``psi^(order)`` at the K points of ``x`` (shape ``(1, K)``).
 
-        A homogeneous family gives its one row, shape ``(1, K)``, from the
-        first index's parameters; any other gives the ``(size, K)`` table.
+        One row per distinct map, in order of first use: shape ``(len(_w), K)``.
+        Every kind forms its table in place, one table per call; only the
+        ``(x-L)/(x+L)`` map at order 0 forms its numerator as a second one.
         """
         if order < 0:
             raise DerivativeOrderError(f"negative derivative order {order}")
@@ -188,7 +217,6 @@ class PsiFamily:
                 f"{self.max_derivative_order} for kind {self.kind!r}"
             )
         kind = self.kind
-        rows = slice(0, 1) if self._homogeneous else slice(None)
         if kind == "identity":
             if order == 0:
                 return x.copy()  # the caller's points must not show through
@@ -205,36 +233,27 @@ class PsiFamily:
             row = exprlang.eval_expr(self._deriv_expr(order), {"x": x})
             return np.broadcast_to(row, x.shape).astype(np.result_type(x, float))
         if kind == "rational":
-            L = self.params["L"][rows, None]
-            shifted = x + L
+            L = self._w
+            out = x + L
             if order == 0:
-                if self.params["variant"] == "x/(x+L)":
-                    return x / shifted
-                return (x - L) / shifted
+                return np.divide(x if self.params["variant"] == "x/(x+L)" else x - L, out, out=out)
             strength = L if self.params["variant"] == "x/(x+L)" else 2.0 * L
             sign = 1.0 if order % 2 == 1 else -1.0
-            return sign * math.factorial(order) * strength / shifted ** (order + 1)
-        if kind == "exponential":
-            w = self.params["rates"][rows, None]
-            return w ** order * np.exp(w * x)
-        if kind in ("fourier-sin", "fourier-cos"):
-            w = self.params["freqs"][rows, None]
-            phase = w * x + order * np.pi / 2
-            trig = np.sin if kind == "fourier-sin" else np.cos
-            return w ** order * trig(phase)
-        if kind == "mixed":
-            # formed in place: concatenating two halves put a second (size, K)
-            # table and a refault of its memory into every block, which cost the
-            # interp benchmark 7 % of its throughput
-            split = self.params["split"]
-            rates, freqs = self.params["rates"], self.params["freqs"]
-            w = np.concatenate([rates[: split + 1], freqs[split + 1 :]])[:, None]
+            out **= order + 1
+            return np.divide(sign * math.factorial(order) * strength, out, out=out)
+        if kind in ("exponential", "fourier-sin", "fourier-cos", "mixed"):
+            # formed in place: a second table per block (the argument, then the
+            # result) cost the interp benchmark 7 % of its throughput on mixed maps
+            w = self._w
             out = w * x
-            top, bottom = out[: split + 1], out[split + 1 :]
-            np.exp(top, out=top)
-            bottom += order * np.pi / 2
-            np.sin(bottom, out=bottom)
-            out *= w ** order
+            top, bottom = out[: self._n_exp], out[self._n_exp :]
+            if len(top):
+                np.exp(top, out=top)
+            if len(bottom):
+                bottom += order * np.pi / 2
+                (np.cos if kind == "fourier-cos" else np.sin)(bottom, out=bottom)
+            if order:  # times w**0 = 1 changes no bit
+                out *= w ** order
             return out
         raise UnsupportedKindError(f"unknown family kind {kind!r}")
 
@@ -254,7 +273,7 @@ class PsiFamily:
         (``L``, ``rates``, ``freqs``) varies with the index.  Decided once,
         when the family is built.
         """
-        return self._homogeneous
+        return self.kind != "mixed" and len(self._w) == 1
 
     def pole_locations(self) -> np.ndarray:
         """Real singularities of the maps (rational kind only)."""
@@ -689,9 +708,9 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
     """Basis functions on many points: shape ``(size, len(xs))``, in C order.
 
     ``xs`` must be a non-empty 1-d array; use :func:`lagrange_values` for one point.
-    The table is formed one block of points at a time, each block's table
-    holding at most 2**16 entries; every column is independent, so the
-    blocks change no bit.
+    The table is formed one block of points at a time (:func:`_blocks`), each
+    block's table holding fewer than ``(1 + _SHORT_BLOCK) * 2**16`` entries;
+    every column is independent, so the blocks change no bit.
     """
     xs = np.asarray(xs)
     if xs.ndim != 1 or xs.size == 0:
@@ -699,14 +718,22 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
             f"lagrange_matrix needs a non-empty 1-d array of points, got shape {xs.shape}"
         )
     basis._check_point(xs)
-    step = _BLOCK_ENTRIES // basis.size
-    if xs.size <= step:
+    blocks = _blocks(xs.size, _BLOCK_ENTRIES // basis.size)
+    if len(blocks) == 1:
         return _table(basis, xs)
     out = np.empty((basis.size, xs.size), np.result_type(xs, float))
-    for start in range(0, xs.size, step):
-        block = slice(start, start + step)
+    for block in blocks:
         out[:, block] = _table(basis, xs[block])
     return out
+
+
+def _blocks(count: int, step: int) -> list:
+    """Slices of ``step`` of ``count`` points; a last one shorter than ``_SHORT_BLOCK * step``
+    joins the one before it."""
+    starts = list(range(0, count, step))
+    if len(starts) > 1 and count - starts[-1] < _SHORT_BLOCK * step:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
 def _table(basis: DlfBasis, x) -> np.ndarray:
@@ -715,35 +742,50 @@ def _table(basis: DlfBasis, x) -> np.ndarray:
     The one cardinal kernel.  Each column is formed from its own terms
     ``psi_i(x) - psi_i(x_i)`` alone, so a table built block by block is the
     same to the bit.  A column whose full product ``P = prod_i term_i`` is a
-    normal finite number divides ``P`` by each term and by ``_denom_prod``.
-    Division cannot work in any other column (``P`` zero, subnormal,
-    overflowed, or NaN from inf times 0), real or complex, so it is formed
-    factor by factor: with two or more zero terms every ``L_j`` is 0, with
-    one zero at row ``i`` only ``L_i`` is nonzero, and with none every
-    ``L_j`` is the product of its factors.
+    normal finite number divides ``P`` by each term and by ``_denom_prod``;
+    any other is formed factor by factor (:func:`_block`).
     """
-    terms = _terms(basis, x).reshape(basis.size, -1)
-    size = basis.size
     with np.errstate(all="ignore"):
-        full = terms.prod(axis=0)
-        odd = np.flatnonzero(~(abs(full) >= _TINY) | np.isinf(full))  # NaN fails >=
-        if len(odd):
-            zeros = np.count_nonzero(terms[:, odd] == 0, axis=0)
-            one, none = odd[zeros == 1], odd[zeros == 0]
-            js = np.concatenate(
-                [np.argmax(terms[:, one] == 0, axis=0), np.tile(np.arange(size), len(none))]
-            )
-            cols = np.concatenate([one, np.repeat(none, size)])
-            factors = terms[:, cols] / basis._f_tab[:, js]
-            factors[js, np.arange(len(js))] = 1.0
-            # down each column in row order, as a scalar loop over r != j would
-            slow = factors.prod(axis=0)
+        terms, full, odd, slow = _block(basis, x)
         np.divide(full, terms, out=terms)
         terms /= basis._denom_prod[:, None]
     if len(odd):
-        terms[:, odd[zeros > 0]] = 0.0
-        terms[js, cols] = slow
+        terms[:, odd] = slow
     return terms
+
+
+def _block(basis: DlfBasis, x):
+    """A block's terms, their column products ``P``, its odd columns and their ``L_j``.
+
+    The terms ``psi_i(x) - psi_i(x_i)`` come as a fresh ``(size, K)`` table
+    that the caller may overwrite: :func:`_table` divides ``P`` by them, and
+    ``eval_interpolant`` forms ``w_j / term_j`` in their place (the first
+    barycentric form, ``L_j = P w_j / term_j``).  Neither division works
+    where ``P`` is zero, subnormal, overflowed or NaN, real or complex (one
+    test for both), so those columns' ``L_j`` are formed factor by factor: with
+    two or more zero terms every ``L_j`` is 0, with one zero at row ``i``
+    only ``L_i`` is nonzero, and with none every ``L_j`` is the product of
+    its factors.  The last value is ``None`` when no column is odd.  Both
+    callers hold numpy's floating-point warnings off around the call.
+    """
+    terms = _terms(basis, x).reshape(basis.size, -1)
+    full = terms.prod(axis=0)
+    odd = np.flatnonzero(~(abs(full) >= _TINY) | np.isinf(full))  # NaN fails >=
+    if not len(odd):
+        return terms, full, odd, None
+    sub = terms[:, odd]
+    zeros = np.count_nonzero(sub == 0, axis=0)
+    one, none = np.flatnonzero(zeros == 1), np.flatnonzero(zeros == 0)
+    js = np.concatenate(
+        [np.argmax(sub[:, one] == 0, axis=0), np.tile(np.arange(basis.size), len(none))]
+    )
+    cols = np.concatenate([one, np.repeat(none, basis.size)])
+    factors = sub[:, cols] / basis._f_tab[:, js]
+    factors[js, np.arange(len(js))] = 1.0
+    slow = np.zeros_like(sub)
+    # down each column in row order, as a scalar loop over r != j would
+    slow[js, cols] = factors.prod(axis=0)
+    return terms, full, odd, slow
 
 
 def dlf_limit(basis: DlfBasis, j: int) -> float:

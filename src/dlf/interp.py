@@ -4,26 +4,29 @@ Coefficients are nodal values: building an interpolant from samples is
 storage, not a linear solve, and evaluation at a node returns the matching
 coefficient exactly.  Coefficients are ordered with the last dimension
 fastest (C-order flattening of the value grid).  Evaluation walks the
-points one block at a time: it builds one ``lagrange_matrix`` per dimension
-for the block and contracts it with the coefficient grid one dimension at a
-time (the dense tensor form of Trefethen, *Spectral Methods in MATLAB*,
-ch. 7), so memory is O(block + K), not O(N K).
+points one block at a time and contracts the coefficient grid one
+dimension at a time (the dense tensor form of Trefethen, *Spectral Methods
+in MATLAB*, ch. 7), each dimension in the first barycentric form
+``sum_j c_j L_j(x) = P(x) sum_j (c_j w_j) / (psi_j(x) - psi_j(x_j))``
+(Berrut & Trefethen, SIAM Rev. 2004); memory is O(block + K), not O(N K).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 from dataclasses import dataclass
 
 import numpy as np
 
-# interp.validate_basis is not called here; it stays because perfbench/tracing.py patches it
+# interp.validate_basis and interp.lagrange_values are not called here; they stay
+# because perfbench/tracing.py patches them
 from .basis import (
     _BLOCK_ENTRIES,
     DlfBasis,
+    _block,
+    _blocks,
     basis_from_spec,
     lagrange_matrix,
     lagrange_values,
@@ -96,49 +99,112 @@ def eval_interpolant(itp: TensorInterpolant, x):
 
     ``x`` is one point of shape ``(p,)`` (float out) or K points of shape
     ``(K, p)`` (shape ``(K,)`` out).  For ``p = 1`` a scalar is one point
-    and a ``(K,)`` array is K points.  The points are taken in blocks short
-    enough that every table and partial sum of a block holds at most 2**16
-    entries (blocks of one point when a slice of the coefficient grid alone
-    is longer).  A value that is not finite raises
+    and a ``(K,)`` array is K points.  The points are taken in blocks
+    (:func:`basis._blocks`) short enough that every table and partial sum
+    of a block holds fewer than ``1.25 * 2**16`` entries (blocks of one
+    point when a slice of the coefficient grid alone is longer).  Each
+    dimension is contracted in the first barycentric form
+    (:func:`_barycentric`); a point where that form cannot work or is not
+    finite takes the cardinal columns of :func:`basis._block` or
+    :func:`lagrange_matrix`.  In 1-D a real point has the same value, to
+    the bit, alone or inside any batch.  A value that is not finite raises
     :class:`InvalidParameterError` naming its point.
     """
     p = itp.ndim
     pts = np.asarray(x)
-    if pts.ndim == 0 and p == 1:
-        with np.errstate(invalid="ignore", over="ignore"):
-            value = float(lagrange_values(itp.bases[0], x) @ itp.coeffs)
-        if not math.isfinite(value):
-            raise _not_finite(x)
-        return value
-    single = pts.ndim == 1 and p > 1
-    if single:
+    single = pts.ndim == (0 if p == 1 else 1)
+    scalar = single and p == 1  # a point that is named as given
+    if p == 1 and pts.ndim < 2:
+        pts = pts.reshape(-1, 1)
+    elif single:
         pts = pts[None, :]
-    elif pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != p or len(pts) == 0:
         raise InvalidParameterError(
             f"points must have shape ({p},) or (K, {p}) with K > 0, got {np.shape(x)}"
         )
+    for d, basis in enumerate(itp.bases):
+        basis._check_point(x if scalar else pts[:, d])
     coeffs = itp.coeffs.reshape(itp.bases[0].size, -1)
-    step = max(1, _BLOCK_ENTRIES // max(coeffs.shape))
+    # L_j = P w_j / term_j with w_j = 1 / prod_{i != j} (psi_i(x_j) - psi_i(x_i));
+    # in 1-D R_j carries c_j w_j, so the sum over j is a sum of rows
+    if p == 1:
+        scales = [itp.coeffs / itp.bases[0]._denom_prod]
+    else:
+        scales = [1.0 / basis._denom_prod for basis in itp.bases]
     out = np.empty(len(pts), np.result_type(pts, float))
-    for start in range(0, len(out), step):
-        block = pts[start : start + step]
-        # each table is dropped once contracted, so a block holds one at a time
-        with np.errstate(invalid="ignore", over="ignore"):
-            # the first contraction stays a BLAS matmul: for p = 1 it is the whole sum,
-            # bit for bit lagrange_matrix(...).T @ coeffs on the block
-            vals = lagrange_matrix(itp.bases[0], block[:, 0]).T @ coeffs
-            for d, basis in enumerate(itp.bases[1:], 1):
-                vals = vals.reshape(len(block), basis.size, -1)
-                vals = np.einsum("kir,ik->kr", vals, lagrange_matrix(basis, block[:, d]))
-        # a table entry that is not finite, or a sum that overflows, leaves its
-        # value not finite, so the block's K values are all there is to check
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise _not_finite(block[np.argmin(finite)])
-        out[start : start + step] = vals.reshape(-1)
+    for block in _blocks(len(pts), max(1, _BLOCK_ENTRIES // max(coeffs.shape))):
+        with np.errstate(all="ignore"):
+            vals = _barycentric(itp, pts[block], coeffs, scales)
+            finite = np.isfinite(vals)
+            if not finite.all():  # w_j / term_j can overflow where L_j does not
+                bad = np.flatnonzero(~finite)
+                vals[bad] = _cardinal(itp, pts[block][bad], coeffs)
+                finite = np.isfinite(vals)
+                if not finite.all():
+                    raise _not_finite(x if scalar else pts[block][np.argmin(finite)])
+        out[block] = vals
     return float(out[0]) if single else out
+
+
+def _barycentric(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, scales: list):
+    """The K values at ``pts``, one dimension at a time in the first barycentric form.
+
+    Each dimension forms ``R_j = w_j / term_j`` in place of its terms
+    (:func:`basis._block`) and contracts it, scaled by ``P``; a point whose
+    ``P`` is odd contracts that dimension's cardinal column instead.  In
+    1-D the coefficients are in ``scales`` and the rows of ``R`` are summed
+    by :func:`_fold`, not in BLAS, so each point's sum is the same in any
+    block, and only the K sums are scaled by ``P``.
+    """
+    K = len(pts)
+    vals = coeffs
+    for d, basis in enumerate(itp.bases):
+        R, P, odd, slow = _block(basis, pts[:, d])
+        np.divide(scales[d][:, None], R, out=R)
+        if d > 0:
+            vals = vals.reshape(K, basis.size, -1)
+        if itp.ndim == 1:
+            summed = (_fold(R) * P)[:, None]  # a new array: a row of R keeps all of R alive
+        else:
+            # scaled by P along R's rows: a (K, rest) result would take K short loops
+            R *= P
+            summed = R.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals, R)
+        del R  # so that the next dimension's table is not formed beside it
+        if len(odd):
+            summed[odd] = slow.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals[odd], slow)
+        vals = summed
+    return vals.reshape(-1)
+
+
+def _fold(rows: np.ndarray) -> np.ndarray:
+    """The column sums of ``rows``, by folding its top half onto its bottom half, in place.
+
+    Only elementwise adds: unlike a BLAS or a numpy reduction, a column's
+    sum does not depend on how many columns there are.  Pairwise, its error
+    grows with ``log N``; it matches the FMA dot products of the table form.
+    """
+    m = len(rows)
+    if rows.shape[1] == 1:  # the same adds on Python numbers: numpy costs more per call
+        col = rows[:, 0].tolist()
+        while m > 1:
+            half = m // 2
+            col[:half] = [a + b for a, b in zip(col[:half], col[m - half : m])]
+            m -= half
+        return np.array(col[:1])
+    while m > 1:
+        half = m // 2
+        rows[:half] += rows[m - half : m]  # with m odd, the middle row waits a round
+        m -= half
+    return rows[0]
+
+
+def _cardinal(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The values at ``pts`` through one cardinal table per dimension: BLAS matmul, then einsum."""
+    vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ coeffs
+    for d, basis in enumerate(itp.bases[1:], 1):
+        vals = vals.reshape(len(pts), basis.size, -1)
+        vals = np.einsum("kir,ik->kr", vals, lagrange_matrix(basis, pts[:, d]))
+    return vals.reshape(-1)
 
 
 def _not_finite(point) -> InvalidParameterError:

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from dlf.basis import (
     _BLOCK_ENTRIES,
     FAMILY_KINDS,
+    _blocks,
     NodeSet,
     basis_from_spec,
     dlf_eval,
@@ -186,8 +187,9 @@ def test_own_values_are_the_table_diagonal(kind, n):
     for order, own in enumerate(owns):
         table = basis.psi.values_at(basis.nodes.nodes, order)
         assert table.shape == (n + 1, n + 1)
-        if basis.psi.is_homogeneous:
-            # one shared row, evaluated once per point
+        if len(basis.psi._w) == 1:
+            # one distinct map (mixed too, when every index is exponential with
+            # one rate): one shared row, evaluated once per point
             assert not table.flags.writeable and table.strides[0] == 0, order
         else:
             assert table.flags.c_contiguous, order
@@ -200,8 +202,11 @@ def test_blocked_table_equals_one_block_calls(kind, rng):
     kind, params, (a, b) = KIND_CASES[kind]
     basis = build_basis(kind, params, n=12, a=a, b=b)
     step = _BLOCK_ENTRIES // basis.size
-    # three full blocks and a last one of five points
+    # three full blocks and five points, which join the third one
     xs = rng.uniform(a, b, 3 * step + 5)
+    assert _blocks(len(xs), step) == [
+        slice(0, step), slice(step, 2 * step), slice(2 * step, len(xs))
+    ]
     xs[7] = basis.nodes.nodes[3]
     if 0.0 in basis.nodes.nodes:
         # a product that underflows takes the factor-by-factor route, in a later block
@@ -288,6 +293,22 @@ def test_eval_interpolant_peak_memory_is_about_the_output(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak / 2**20
+    assert peak <= values.nbytes + 2**20, (peak - values.nbytes) / 2**20
+
+
+def test_per_index_maps_form_one_table_per_block():
+    # the argument and then the result of per-index maps were two tables per block:
+    # 1.57 MiB above the output here, against 0.66 MiB with the maps formed in place
+    basis = build_basis("fourier-sin", {}, n=64, a=0.1, b=1.2)  # freqs 1..65, one per index
+    assert len(basis.psi._w) == basis.size
+    itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
+    xs = np.linspace(0.1, 1.2, 200_000)
+    tracemalloc.start()
+    try:
+        values = eval_interpolant(itp, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= values.nbytes + 2**20, (peak - values.nbytes) / 2**20
 
 
@@ -466,6 +487,49 @@ def test_one_differing_parameter_gives_its_own_row(kind, key, rng):
     assert mixed[:4].tobytes() == np.ascontiguousarray(shared[:4]).tobytes()
     assert mixed[4].tobytes() == other[0].tobytes()
     assert not np.any(mixed[4] == mixed[0])
+
+
+# families whose indices repeat some maps; zeros sit where mixed reads no parameter
+REPEATED_MAPS = [
+    ("mixed", {"split": 3, "rates": 0.7, "freqs": 1.3}),
+    ("mixed", {"split": 6, "rates": 0.7}),
+    (
+        "mixed",
+        {"split": 2, "rates": [0.7, 0.9, 0.7, 0, 0, 0, 0], "freqs": [0, 0, 0, 1.3, 1.1, 1.3, 1.3]},
+    ),
+    ("rational", {"L": [0.7, 0.9, 0.7, 0.9, 0.9, 0.7, 1.1]}),
+    ("rational", {"L": [0.7, 0.9, 0.7, 0.9, 0.9, 0.7, 1.1], "variant": "(x-L)/(x+L)"}),
+    ("exponential", {"rates": [0.7, 0.9, 0.7, 0.9, 0.9, 0.7, 1.1]}),
+    ("fourier-sin", {"freqs": [0.7, 0.9, 0.7, 0.9, 0.9, 0.7, 1.1]}),
+    ("fourier-cos", {"freqs": [0.7, 0.9, 0.7, 0.9, 0.9, 0.7, 1.1]}),
+]
+
+
+def _own_map(fam, i):
+    """Index ``i``'s map as a family of its own: a size-2 family with that one map."""
+    if fam.kind == "mixed":
+        if i <= fam.params["split"]:
+            return make_psi_family("exponential", {"rates": fam.params["rates"][i]}, size=2)
+        return make_psi_family("fourier-sin", {"freqs": fam.params["freqs"][i]}, size=2)
+    own = {k: v[i] if isinstance(v, np.ndarray) else v for k, v in fam.params.items()}
+    return make_psi_family(fam.kind, own, size=2)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "kind, params",
+    REPEATED_MAPS,
+    ids=["mixed-scalar", "mixed-one-map", "mixed-arrays", "rational", "rational-variant",
+         "exponential", "fourier-sin", "fourier-cos"],
+)
+def test_repeated_maps_are_each_index_on_its_own(kind, params, order, rng):
+    # each distinct map is evaluated once per point, and no bit moves
+    fam = make_psi_family(kind, params, size=7)
+    for xs in (rng.uniform(0.1, 0.9, 50), rng.uniform(0.1, 0.9, 20) + 0.3j):
+        table = fam.values_at(xs, order)
+        assert table.shape == (7, len(xs))
+        for i in range(7):
+            assert table[i].tobytes() == _own_map(fam, i).values_at(xs, order)[0].tobytes()
 
 
 def test_mixed_is_never_homogeneous():

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dlf.interp as interp_module
 from dlf.basis import (
     _BLOCK_ENTRIES,
     FAMILY_KINDS,
+    _block,
+    _blocks,
+    _terms,
     NodeSet,
     basis_from_spec,
     dlf_eval,
@@ -36,6 +40,7 @@ from dlf.interp import (
 )
 
 from conftest import KIND_CASES, build_basis
+from exact import exact_values
 
 
 def runge(x):
@@ -141,22 +146,63 @@ def test_evaluation_follows_last_fastest_ordering():
 
 
 def test_one_dimensional_tensor_matches_plain_interpolant_bitwise(rng):
-    # one basis is the 1-D interpolant: a scalar is lagrange_values @ coeffs and
-    # K points are lagrange_matrix.T @ coeffs, bit for bit, in every point form
+    # one basis is the 1-D interpolant: a point's value is the same to the bit
+    # alone (a scalar, a (1,) or a (1, 1) array) and inside a batch of K points,
+    # in every point form; the rows of R are folded, not summed in BLAS
     for kind in FAMILY_KINDS:
         _, params, (a, b) = KIND_CASES[kind]
         for n in (4, 16, 64):
             basis = build_basis(kind, params, n=n, a=a, b=b)
-            coeffs = rng.normal(size=basis.size)
-            itp = interpolate_nd([basis], coeffs)
+            itp = interpolate_nd([basis], rng.normal(size=basis.size))
             xs = rng.uniform(a, b, 257)
+            xs[5] = basis.nodes.nodes[2]  # a node hit takes its cardinal column
             batch = eval_interpolant(itp, xs)
-            np.testing.assert_array_equal(batch, lagrange_matrix(basis, xs).T @ coeffs)
             np.testing.assert_array_equal(eval_interpolant(itp, xs[:, None]), batch)
-            for x in xs[:9]:
-                value = eval_interpolant(itp, float(x))
+            np.testing.assert_array_equal(eval_interpolant(itp, xs[100:]), batch[100:])
+            for k in (0, 1, 5, 100, 256):
+                value = eval_interpolant(itp, float(xs[k]))
                 assert type(value) is float
-                assert value == lagrange_values(basis, float(x)) @ coeffs
+                assert value == batch[k]
+                assert eval_interpolant(itp, xs[k : k + 1])[0] == batch[k]
+                assert eval_interpolant(itp, xs[k : k + 1, None])[0] == batch[k]
+
+
+# kind, params at N, domain, bound at N on points away from the nodes; bounds are
+# about four times the largest error measured over six seeds of 200 points
+ORACLE_CASES = {
+    "identity": ("identity", lambda n: {}, (-1.0, 1.0), {8: 2.5e-15, 16: 3.5e-15, 64: 6e-15}),
+    "rational": (
+        "rational", lambda n: {"L": 1.0}, (0.0, 1.0), {8: 1.5e-13, 16: 3.5e-13, 64: 1.5e-11}
+    ),
+    "per-index": (
+        "rational",
+        lambda n: {"L": [1 + i / (2 * n) for i in range(n + 1)]},
+        (0.0, 1.0),
+        {8: 8e-14, 16: 5e-13, 64: 1.5e-11},
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_values_against_the_exact_oracle(case, n, rng):
+    # errors over sum_j |c_j L_j(x)|, against the value in 100-digit arithmetic
+    kind, params, (a, b), tol = ORACLE_CASES[case]
+    basis = build_basis(kind, params(n), n=n, a=a, b=b)
+    coeffs = rng.normal(size=basis.size)
+    xs = np.concatenate([rng.uniform(a, b, 100), basis.nodes.nodes[:-1] + 2.0**-40])
+    exact = exact_values(basis, coeffs, xs)
+    table = lagrange_matrix(basis, xs)
+    scale = np.abs(coeffs) @ np.abs(table)
+    err = np.abs(eval_interpolant(interpolate_1d(basis, coeffs), xs) - exact) / scale
+    err_table = np.abs(table.T @ coeffs - exact) / scale
+    assert err[:100].max() <= tol[n]
+    # no less accurate than the cardinal table on the same points: measured, the mean
+    # error is within 5 % of the table's and the largest within 1.2 units of 2**-52.
+    # Next to a node a rational map rounds psi_i(x) - psi_i(x_k), an error both share
+    # (2e-5 at N=64)
+    assert err.mean() <= 1.1 * err_table.mean()
+    assert err.max() <= err_table.max() + 2 * 2.0**-52
 
 
 def _tensor_case(kind, sizes, rng):
@@ -258,8 +304,8 @@ def test_nodal_grid_evaluation_matches_coefficients(rng):
             assert eval_interpolant(itp, [x, y]) == grid[i, j]
 
 
-def _unblocked(itp, pts):
-    """The contraction over all of ``pts`` (shape (K, p)) at once, with no blocks."""
+def _table_form(itp, pts):
+    """The contraction of whole cardinal tables over all of ``pts`` (shape (K, p)) at once."""
     vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ itp.coeffs.reshape(itp.bases[0].size, -1)
     for d in range(1, itp.ndim):
         table = lagrange_matrix(itp.bases[d], pts[:, d])
@@ -267,22 +313,25 @@ def _unblocked(itp, pts):
     return vals.reshape(-1)
 
 
-# more points than one block holds, with a short last block
+# more points than one block holds; the last 17 join the block before them
 @pytest.mark.parametrize("sizes", [(65,), (129,), (29, 29), (12, 40)], ids=["n65", "n129", "29x29", "12x40"])
 @pytest.mark.parametrize("kind", FAMILY_KINDS)
 def test_blocked_evaluation_is_the_per_block_contraction(kind, sizes, rng):
     itp, (a, b) = _tensor_case(kind, sizes, rng)
     step = _BLOCK_ENTRIES // max(sizes[0], int(np.prod(sizes[1:])))
     pts = rng.uniform(a, b, size=(3 * step + 17, len(sizes)))
+    blocks = _blocks(len(pts), step)
+    assert [len(range(len(pts))[blk]) for blk in blocks] == [step, step, step + 17]
     got = eval_interpolant(itp, pts)
-    blocks = [_unblocked(itp, pts[s : s + step]) for s in range(0, len(pts), step)]
-    assert got.tobytes() == np.concatenate(blocks).tobytes()
-    # the whole table at once sums in another order: within 1e-15 of sum |c_i L_i(x)|
-    # (the largest gap measured over eight kinds, N 16-128 and 29 x 29 is 2.7e-16)
+    alone = [eval_interpolant(itp, pts[blk]) for blk in blocks]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+    # the form of whole cardinal tables rounds otherwise: within 4e-15 of sum |c_i L_i(x)|
+    # (the largest gap measured over eight kinds, N 16-128, 12 x 40, 29 x 29 and
+    # three seeds is 8.4e-16, in 1-D; 7.9e-16 in 2-D and 3-D)
     tables = [lagrange_matrix(basis, pts[:, d]) for d, basis in enumerate(itp.bases)]
     spec = ",".join(["ab"[: itp.ndim]] + [f"{c}k" for c in "ab"[: itp.ndim]]) + "->k"
     scale = np.einsum(spec, np.abs(itp.grid_values()), *map(np.abs, tables))
-    assert np.all(np.abs(got - _unblocked(itp, pts)) <= 1e-15 * scale)
+    assert np.all(np.abs(got - _table_form(itp, pts)) <= 4e-15 * scale)
     # the defining product: within 1e-14 of the same scale (largest measured 2.8e-15)
     few = pts[::50]
     products = [
@@ -291,6 +340,25 @@ def test_blocked_evaluation_is_the_per_block_contraction(kind, sizes, rng):
     ]
     want = np.einsum(spec, itp.grid_values(), *products)
     assert np.all(np.abs(got[::50] - want) <= 1e-14 * scale[::50])
+
+
+def test_short_last_block_joins_the_one_before(monkeypatch):
+    # dlf interp --samples 512 at N=128: 508 + 4 points were two blocks
+    assert _blocks(512, 508) == [slice(0, 512)]
+    assert _blocks(17, 8) == [slice(0, 8), slice(8, 17)]  # 1 point, under a quarter of 8
+    assert _blocks(18, 8) == [slice(0, 8), slice(8, 16), slice(16, 18)]
+    assert _blocks(3, 8) == [slice(0, 3)]
+    basis = build_basis("identity", n=128)
+    itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
+    calls = []
+
+    def counted(basis, x):
+        calls.append(len(x))
+        return _block(basis, x)
+
+    monkeypatch.setattr(interp_module, "_block", counted)
+    eval_interpolant(itp, np.linspace(-1.0, 1.0, 512))
+    assert calls == [512]
 
 
 @pytest.mark.parametrize("sizes", [(129,), (29, 29)], ids=["n129", "29x29"])
@@ -316,6 +384,23 @@ def test_value_that_is_not_finite_names_its_point(p):
         with pytest.raises(InvalidParameterError, match="not finite at x = 300.0$"):
             eval_interpolant(itp, 300.0)
     np.testing.assert_allclose(eval_interpolant(itp, pts[:3]), 1.0, rtol=1e-15)
+
+
+def test_reciprocal_that_overflows_takes_the_cardinal_table(rng):
+    # 41 equispaced nodes on [0, 1e-7]: the node-gap products reach 1e-300, so
+    # w_j / term_j overflows at some points where P is normal and every L_j finite
+    basis = build_basis("identity", n=40, a=0.0, b=1e-7, scheme="equispaced")
+    coeffs = np.ones(basis.size)
+    xs = rng.uniform(0.0, 1e-7, 400)
+    terms = _terms(basis, xs)
+    with np.errstate(all="ignore"):
+        reciprocals = (coeffs / basis._denom_prod)[:, None] / terms
+    overflows = np.isinf(reciprocals).any(axis=0) & (np.abs(terms.prod(axis=0)) >= 2.0**-1022)
+    assert 0 < overflows.sum() < len(xs)
+    values = eval_interpolant(interpolate_1d(basis, coeffs), xs)
+    table = lagrange_matrix(basis, xs)
+    scale = np.abs(coeffs) @ np.abs(table)
+    assert np.all(np.abs(values - table.T @ coeffs) <= 1e-15 * scale)
 
 
 # -- persistence -----------------------------------------------------------
