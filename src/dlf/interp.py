@@ -152,9 +152,10 @@ def _barycentric(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, sc
     Each dimension forms ``R_j = w_j / term_j`` in place of its terms
     (:func:`basis._block`) and contracts it, scaled by ``P``; a point whose
     ``P`` is odd contracts that dimension's cardinal column instead.  In
-    1-D the coefficients are in ``scales`` and the rows of ``R`` are summed
-    by :func:`_fold`, not in BLAS, so each point's sum is the same in any
-    block, and only the K sums are scaled by ``P``.
+    1-D the coefficients are in ``scales``, the rows of ``R`` (and of the
+    odd points' products ``c_j L_j``) are summed by :func:`_fold`, not in
+    BLAS, so each point's sum is the same in any block, and only the K sums
+    are scaled by ``P``.
     """
     K = len(pts)
     vals = coeffs
@@ -170,7 +171,9 @@ def _barycentric(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, sc
             R *= P
             summed = R.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals, R)
         del R  # so that the next dimension's table is not formed beside it
-        if len(odd):
+        if len(odd) and itp.ndim == 1:
+            summed[odd, 0] = _fold(slow * vals)
+        elif len(odd):
             summed[odd] = slow.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals[odd], slow)
         vals = summed
     return vals.reshape(-1)
@@ -184,13 +187,6 @@ def _fold(rows: np.ndarray) -> np.ndarray:
     grows with ``log N``; it matches the FMA dot products of the table form.
     """
     m = len(rows)
-    if rows.shape[1] == 1:  # the same adds on Python numbers: numpy costs more per call
-        col = rows[:, 0].tolist()
-        while m > 1:
-            half = m // 2
-            col[:half] = [a + b for a, b in zip(col[:half], col[m - half : m])]
-            m -= half
-        return np.array(col[:1])
     while m > 1:
         half = m // 2
         rows[:half] += rows[m - half : m]  # with m odd, the middle row waits a round
@@ -199,8 +195,15 @@ def _fold(rows: np.ndarray) -> np.ndarray:
 
 
 def _cardinal(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The values at ``pts`` through one cardinal table per dimension: BLAS matmul, then einsum."""
-    vals = lagrange_matrix(itp.bases[0], pts[:, 0]).T @ coeffs
+    """The values at ``pts`` through one cardinal table per dimension.
+
+    In 1-D the products ``c_j L_j`` are summed by :func:`_fold`, as in
+    :func:`_barycentric`; otherwise BLAS matmul, then einsum.
+    """
+    table = lagrange_matrix(itp.bases[0], pts[:, 0])
+    if itp.ndim == 1:
+        return _fold(table * coeffs)
+    vals = table.T @ coeffs
     for d, basis in enumerate(itp.bases[1:], 1):
         vals = vals.reshape(len(pts), basis.size, -1)
         vals = np.einsum("kir,ik->kr", vals, lagrange_matrix(basis, pts[:, d]))

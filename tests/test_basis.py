@@ -278,12 +278,19 @@ def test_blocked_table_peak_memory_is_about_the_output(kind):
     assert peak <= 1.25 * table.nbytes, peak / table.nbytes
 
 
-@pytest.mark.parametrize("kind", FAMILY_KINDS)
-def test_eval_interpolant_peak_memory_is_about_the_output(kind):
+# freqs 1..65, one map per index: the argument and then the result of per-index
+# maps were two tables per block, 1.57 MiB above the output against 0.66 MiB now
+PEAK_CASES = {**KIND_CASES, "fourier-sin-per-index": ("fourier-sin", {}, (0.1, 1.2))}
+
+
+@pytest.mark.parametrize("case", [*FAMILY_KINDS, "fourier-sin-per-index"])
+def test_eval_interpolant_peak_memory_is_about_the_output(case):
     # the (N+1) x K table was 100.7 MiB here before evaluation went by blocks;
     # a block's table is 0.5 MiB, and a second one alive would pass 1 MiB
-    kind, params, (a, b) = KIND_CASES[kind]
+    kind, params, (a, b) = PEAK_CASES[case]
     basis = build_basis(kind, params, n=64, a=a, b=b)
+    if case.endswith("per-index"):
+        assert len(basis.psi._w) == basis.size
     itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
     xs = np.linspace(a, b, 200_000)
     tracemalloc.start()
@@ -293,22 +300,6 @@ def test_eval_interpolant_peak_memory_is_about_the_output(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak / 2**20
-    assert peak <= values.nbytes + 2**20, (peak - values.nbytes) / 2**20
-
-
-def test_per_index_maps_form_one_table_per_block():
-    # the argument and then the result of per-index maps were two tables per block:
-    # 1.57 MiB above the output here, against 0.66 MiB with the maps formed in place
-    basis = build_basis("fourier-sin", {}, n=64, a=0.1, b=1.2)  # freqs 1..65, one per index
-    assert len(basis.psi._w) == basis.size
-    itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
-    xs = np.linspace(0.1, 1.2, 200_000)
-    tracemalloc.start()
-    try:
-        values = eval_interpolant(itp, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert peak <= values.nbytes + 2**20, (peak - values.nbytes) / 2**20
 
 

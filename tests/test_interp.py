@@ -165,6 +165,20 @@ def test_one_dimensional_tensor_matches_plain_interpolant_bitwise(rng):
                 assert value == batch[k]
                 assert eval_interpolant(itp, xs[k : k + 1])[0] == batch[k]
                 assert eval_interpolant(itp, xs[k : k + 1, None])[0] == batch[k]
+    # points whose P underflows (N=25 on [0, 3e-9]) and points where some
+    # w_j / term_j overflows (N=40 on [0, 1e-7]), several in one batch
+    for n, b, odd in ((25, 3e-9, [1e-120, 1e-140, 2e-130]), (40, 1e-7, [])):
+        basis = build_basis("identity", n=n, a=0.0, b=b, scheme="equispaced")
+        itp = interpolate_1d(basis, rng.normal(size=basis.size))
+        xs = rng.uniform(0.0, b, 200)
+        xs[: len(odd)] = odd
+        with np.errstate(all="ignore"):
+            terms, _, hits, _ = _block(basis, xs)
+            overflows = np.isinf((itp.coeffs / basis._denom_prod)[:, None] / terms).any()
+        assert set(range(len(odd))) <= set(hits) and (len(odd) > 0 or overflows)
+        batch = eval_interpolant(itp, xs)
+        for k in range(len(xs)):
+            assert eval_interpolant(itp, float(xs[k])) == batch[k]
 
 
 # kind, params at N, domain, bound at N on points away from the nodes; bounds are
