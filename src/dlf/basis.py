@@ -14,13 +14,14 @@ absolute tolerance and precomputes every quantity the rest of the package
 needs (first and second derivatives of the node-product function ``w`` at
 the nodes, and the scale factors ``mu_j``).
 
-Batch evaluation (:func:`lagrange_values`, :func:`lagrange_matrix`) goes
-through one block kernel, ``_table``, which divides the full product by
-each term and by the cached node-gap products; :func:`lagrange_matrix`
-feeds it cache-sized blocks of points (``_blocks``).  ``_block`` forms a
-block's terms and products and, where a product is zero, subnormal or not
-finite, its cardinal columns factor by factor; ``_table`` and the first
-barycentric form of ``interp.eval_interpolant`` share it.  A family
+Every cardinal column comes from one kernel, ``_block``, in the first
+barycentric form ``L_j(x) = P(x) w_j / (psi_j(x) - psi_j(x_j))`` with
+``P = prod_i (psi_i(x) - psi_i(x_i))`` and ``w_j`` the reciprocal node-gap
+product (Berrut & Trefethen, SIAM Rev. 2004); where ``P`` is zero,
+subnormal or not finite, from one fallback, ``_by_factors``.  ``_table``
+scales the kernel's columns by ``P`` for :func:`lagrange_values`,
+:func:`lagrange_matrix` (in cache-sized blocks of points, ``_blocks``),
+``diffmat.dm_oracle_fd`` and ``interp.eval_interpolant``.  A family
 evaluates each distinct map (same kind part, same parameter) once per
 point.  :func:`dlf_eval` forms the defining product above and is the only
 reference the kernel is tested against.
@@ -91,7 +92,7 @@ _BLOCK_ENTRIES = 2**16
 _SHORT_BLOCK = 0.25
 
 #: the smallest normal float: a cardinal column whose full product is smaller
-#: in magnitude, or not finite, cannot divide it by each term
+#: in magnitude, or not finite, cannot scale the kernel's column by it
 _TINY = np.finfo(float).tiny
 
 # practical cap for kinds whose derivatives exist in closed form at any order
@@ -697,11 +698,11 @@ def dlf_eval(basis: DlfBasis, j: int, x):
 
 
 def lagrange_values(basis: DlfBasis, x) -> np.ndarray:
-    """All basis functions at one point: array ``[L_0(x), ..., L_N(x)]``."""
+    """All basis functions at one point: array ``[L_0(x), ..., L_N(x)]``, all finite."""
     if np.asarray(x).ndim != 0:
         raise InvalidParameterError("lagrange_values takes one point; use lagrange_matrix")
     basis._check_point(x)
-    return _table(basis, x)[:, 0]
+    return _table(basis, x, strict=True)[:, 0]
 
 
 def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
@@ -710,7 +711,9 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
     ``xs`` must be a non-empty 1-d array; use :func:`lagrange_values` for one point.
     The table is formed one block of points at a time (:func:`_blocks`), each
     block's table holding fewer than ``(1 + _SHORT_BLOCK) * 2**16`` entries;
-    every column is independent, so the blocks change no bit.
+    every column is independent, so the blocks change no bit.  Both functions
+    raise :class:`InvalidParameterError` naming the first point of a column
+    that is not finite.
     """
     xs = np.asarray(xs)
     if xs.ndim != 1 or xs.size == 0:
@@ -720,10 +723,10 @@ def lagrange_matrix(basis: DlfBasis, xs: np.ndarray) -> np.ndarray:
     basis._check_point(xs)
     blocks = _blocks(xs.size, _BLOCK_ENTRIES // basis.size)
     if len(blocks) == 1:
-        return _table(basis, xs)
+        return _table(basis, xs, strict=True)
     out = np.empty((basis.size, xs.size), np.result_type(xs, float))
     for block in blocks:
-        out[:, block] = _table(basis, xs[block])
+        out[:, block] = _table(basis, xs[block], strict=True)
     return out
 
 
@@ -736,56 +739,71 @@ def _blocks(count: int, step: int) -> list:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
-def _table(basis: DlfBasis, x) -> np.ndarray:
+def _table(basis: DlfBasis, x, every: bool = False, strict: bool = False) -> np.ndarray:
     """All ``L_j`` at one block of points: shape ``(size, K)``, ``K = 1`` for scalar ``x``.
 
-    The one cardinal kernel.  Each column is formed from its own terms
-    ``psi_i(x) - psi_i(x_i)`` alone, so a table built block by block is the
-    same to the bit.  A column whose full product ``P = prod_i term_i`` is a
-    normal finite number divides ``P`` by each term and by ``_denom_prod``;
-    any other is formed factor by factor (:func:`_block`).
+    The kernel's ``R_j = w_j / term_j`` times ``P`` (:func:`_block`), one
+    division and one multiplication per entry.  A column that comes out not
+    finite (``w_j / term_j`` can overflow where ``L_j`` does not) is formed
+    again by :func:`_by_factors`, as is every column with ``every``; one
+    that stays not finite raises :class:`InvalidParameterError` naming its
+    point if ``strict``.  Each column comes from its own point alone, so
+    blocks change no bit.
     """
     with np.errstate(all="ignore"):
-        terms, full, odd, slow = _block(basis, x)
-        np.divide(full, terms, out=terms)
-        terms /= basis._denom_prod[:, None]
-    if len(odd):
-        terms[:, odd] = slow
-    return terms
+        table, P = _block(basis, x, every=every)
+        table *= P
+        if not np.isfinite(table.sum()):  # else every entry is finite
+            bad = np.flatnonzero(~np.isfinite(table.sum(axis=0)))
+            table[:, bad] = _by_factors(basis, _terms(basis, np.ravel(x)[bad]))
+            finite = np.isfinite(table[:, bad]).all(axis=0)
+            if strict and not finite.all():
+                point = np.ravel(x)[bad[np.argmin(finite)]]
+                raise InvalidParameterError(f"cardinal functions are not finite at x = {point}")
+    return table
 
 
-def _block(basis: DlfBasis, x):
-    """A block's terms, their column products ``P``, its odd columns and their ``L_j``.
+def _block(basis: DlfBasis, x, c=1.0, every: bool = False):
+    """The cardinal kernel: ``R_j = c_j w_j / term_j`` and ``P`` at one block of points.
 
-    The terms ``psi_i(x) - psi_i(x_i)`` come as a fresh ``(size, K)`` table
-    that the caller may overwrite: :func:`_table` divides ``P`` by them, and
-    ``eval_interpolant`` forms ``w_j / term_j`` in their place (the first
-    barycentric form, ``L_j = P w_j / term_j``).  Neither division works
-    where ``P`` is zero, subnormal, overflowed or NaN, real or complex (one
-    test for both), so those columns' ``L_j`` are formed factor by factor: with
-    two or more zero terms every ``L_j`` is 0, with one zero at row ``i``
-    only ``L_i`` is nonzero, and with none every ``L_j`` is the product of
-    its factors.  The last value is ``None`` when no column is odd.  Both
-    callers hold numpy's floating-point warnings off around the call.
+    ``R`` is written over a fresh ``(size, K)`` table of the terms
+    ``psi_i(x) - psi_i(x_i)``, ``P`` is their product down each column,
+    ``w_j = 1 / _denom_prod_j`` and ``c`` is 1 or a ``(size, 1)`` column of
+    coefficients, so that ``c_j L_j = P R_j``.  A column whose ``P`` is
+    zero, subnormal, overflowed or NaN, real or complex (one test for both),
+    or every column with ``every``, holds ``c_j L_j`` by :func:`_by_factors`
+    and has ``P = 1``.  Callers hold numpy's floating-point warnings off.
     """
     terms = _terms(basis, x).reshape(basis.size, -1)
-    full = terms.prod(axis=0)
-    odd = np.flatnonzero(~(abs(full) >= _TINY) | np.isinf(full))  # NaN fails >=
-    if not len(odd):
-        return terms, full, odd, None
-    sub = terms[:, odd]
-    zeros = np.count_nonzero(sub == 0, axis=0)
+    P = terms.prod(axis=0)
+    # a NaN product fails >= too
+    odd = np.arange(P.size) if every else np.flatnonzero(~(abs(P) >= _TINY) | np.isinf(P))
+    slow = _by_factors(basis, terms[:, odd]) * c if len(odd) else None
+    np.divide(c / basis._denom_prod[:, None], terms, out=terms)
+    if len(odd):
+        terms[:, odd] = slow
+        P[odd] = 1.0
+    return terms, P
+
+
+def _by_factors(basis: DlfBasis, terms: np.ndarray) -> np.ndarray:
+    """Every ``L_j`` at the points whose terms are the columns of ``terms``: the one fallback.
+
+    ``L_j = prod_{i != j} term_i / (psi_i(x_j) - psi_i(x_i))``, down each
+    column in row order, as a scalar loop would; with two or more zero terms
+    every ``L_j`` is 0, and with one at row ``i`` only ``L_i`` is nonzero.
+    """
+    zeros = np.count_nonzero(terms == 0, axis=0)
     one, none = np.flatnonzero(zeros == 1), np.flatnonzero(zeros == 0)
     js = np.concatenate(
-        [np.argmax(sub[:, one] == 0, axis=0), np.tile(np.arange(basis.size), len(none))]
+        [np.argmax(terms[:, one] == 0, axis=0), np.tile(np.arange(basis.size), len(none))]
     )
     cols = np.concatenate([one, np.repeat(none, basis.size)])
-    factors = sub[:, cols] / basis._f_tab[:, js]
+    factors = terms[:, cols] / basis._f_tab[:, js]
     factors[js, np.arange(len(js))] = 1.0
-    slow = np.zeros_like(sub)
-    # down each column in row order, as a scalar loop over r != j would
-    slow[js, cols] = factors.prod(axis=0)
-    return terms, full, odd, slow
+    out = np.zeros_like(terms)
+    out[js, cols] = factors.prod(axis=0)
+    return out
 
 
 def dlf_limit(basis: DlfBasis, j: int) -> float:

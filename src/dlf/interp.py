@@ -5,10 +5,13 @@ storage, not a linear solve, and evaluation at a node returns the matching
 coefficient exactly.  Coefficients are ordered with the last dimension
 fastest (C-order flattening of the value grid).  Evaluation walks the
 points one block at a time and contracts the coefficient grid one
-dimension at a time (the dense tensor form of Trefethen, *Spectral Methods
-in MATLAB*, ch. 7), each dimension in the first barycentric form
+dimension at a time, one table per dimension (the dense tensor form of
+Trefethen, *Spectral Methods in MATLAB*, ch. 7); memory is O(block + K),
+not O(N K).  A 1-D interpolant sums the columns of the cardinal kernel in
+the first barycentric form,
 ``sum_j c_j L_j(x) = P(x) sum_j (c_j w_j) / (psi_j(x) - psi_j(x_j))``
-(Berrut & Trefethen, SIAM Rev. 2004); memory is O(block + K), not O(N K).
+(Berrut & Trefethen, SIAM Rev. 2004); more dimensions contract its
+cardinal tables.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# interp.validate_basis and interp.lagrange_values are not called here; they stay
-# because perfbench/tracing.py patches them
+# interp.validate_basis, interp.lagrange_values and interp.lagrange_matrix are not
+# called here; they stay because perfbench/tracing.py patches them
 from .basis import (
     _BLOCK_ENTRIES,
     DlfBasis,
     _block,
     _blocks,
+    _table,
     basis_from_spec,
     lagrange_matrix,
     lagrange_values,
@@ -102,12 +106,11 @@ def eval_interpolant(itp: TensorInterpolant, x):
     and a ``(K,)`` array is K points.  The points are taken in blocks
     (:func:`basis._blocks`) short enough that every table and partial sum
     of a block holds fewer than ``1.25 * 2**16`` entries (blocks of one
-    point when a slice of the coefficient grid alone is longer).  Each
-    dimension is contracted in the first barycentric form
-    (:func:`_barycentric`); a point where that form cannot work or is not
-    finite takes the cardinal columns of :func:`basis._block` or
-    :func:`lagrange_matrix`.  In 1-D a real point has the same value, to
-    the bit, alone or inside any batch.  A value that is not finite raises
+    point when a slice of the coefficient grid alone is longer), and each
+    dimension contracts one table (:func:`_contract`).  A point whose value
+    comes out not finite is evaluated again with every cardinal column
+    formed by factors.  In 1-D a real point has the same value, to the
+    bit, alone or inside any batch.  A value that is not finite raises
     :class:`InvalidParameterError` naming its point.
     """
     p = itp.ndim
@@ -125,57 +128,40 @@ def eval_interpolant(itp: TensorInterpolant, x):
     for d, basis in enumerate(itp.bases):
         basis._check_point(x if scalar else pts[:, d])
     coeffs = itp.coeffs.reshape(itp.bases[0].size, -1)
-    # L_j = P w_j / term_j with w_j = 1 / prod_{i != j} (psi_i(x_j) - psi_i(x_i));
-    # in 1-D R_j carries c_j w_j, so the sum over j is a sum of rows
-    if p == 1:
-        scales = [itp.coeffs / itp.bases[0]._denom_prod]
-    else:
-        scales = [1.0 / basis._denom_prod for basis in itp.bases]
     out = np.empty(len(pts), np.result_type(pts, float))
     for block in _blocks(len(pts), max(1, _BLOCK_ENTRIES // max(coeffs.shape))):
         with np.errstate(all="ignore"):
-            vals = _barycentric(itp, pts[block], coeffs, scales)
+            vals = _contract(itp, pts[block], coeffs)
             finite = np.isfinite(vals)
-            if not finite.all():  # w_j / term_j can overflow where L_j does not
+            if not finite.all():  # c_j w_j / term_j can overflow where c_j L_j does not
                 bad = np.flatnonzero(~finite)
-                vals[bad] = _cardinal(itp, pts[block][bad], coeffs)
+                vals[bad] = _contract(itp, pts[block][bad], coeffs, every=True)
                 finite = np.isfinite(vals)
                 if not finite.all():
-                    raise _not_finite(x if scalar else pts[block][np.argmin(finite)])
+                    point = x if scalar else pts[block][np.argmin(finite)].tolist()
+                    raise InvalidParameterError(f"interpolant value is not finite at x = {point}")
         out[block] = vals
     return float(out[0]) if single else out
 
 
-def _barycentric(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, scales: list):
-    """The K values at ``pts``, one dimension at a time in the first barycentric form.
+def _contract(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, every=False):
+    """The K values at ``pts``, contracting one table per dimension.
 
-    Each dimension forms ``R_j = w_j / term_j`` in place of its terms
-    (:func:`basis._block`) and contracts it, scaled by ``P``; a point whose
-    ``P`` is odd contracts that dimension's cardinal column instead.  In
-    1-D the coefficients are in ``scales``, the rows of ``R`` (and of the
-    odd points' products ``c_j L_j``) are summed by :func:`_fold`, not in
-    BLAS, so each point's sum is the same in any block, and only the K sums
-    are scaled by ``P``.
+    In 1-D the table is the kernel's ``R_j = c_j w_j / term_j``
+    (:func:`basis._block`); its rows are summed by :func:`_fold`, not in
+    BLAS, so each point's sum is the same in any block, and only the K
+    sums are scaled by ``P``.  With more dimensions each one contracts the
+    cardinal table of :func:`basis._table` (BLAS matmul, then einsum).
+    ``every`` forms every column by factors.
     """
-    K = len(pts)
-    vals = coeffs
-    for d, basis in enumerate(itp.bases):
-        R, P, odd, slow = _block(basis, pts[:, d])
-        np.divide(scales[d][:, None], R, out=R)
-        if d > 0:
-            vals = vals.reshape(K, basis.size, -1)
-        if itp.ndim == 1:
-            summed = (_fold(R) * P)[:, None]  # a new array: a row of R keeps all of R alive
-        else:
-            # scaled by P along R's rows: a (K, rest) result would take K short loops
-            R *= P
-            summed = R.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals, R)
-        del R  # so that the next dimension's table is not formed beside it
-        if len(odd) and itp.ndim == 1:
-            summed[odd, 0] = _fold(slow * vals)
-        elif len(odd):
-            summed[odd] = slow.T @ vals if d == 0 else np.einsum("kir,ik->kr", vals[odd], slow)
-        vals = summed
+    if itp.ndim == 1:
+        R, P = _block(itp.bases[0], pts[:, 0], coeffs, every)
+        return _fold(R) * P
+    # each table is formed in the expression that contracts it, never beside the last one
+    vals = _table(itp.bases[0], pts[:, 0], every).T @ coeffs
+    for d, basis in enumerate(itp.bases[1:], 1):
+        vals = vals.reshape(len(pts), basis.size, -1)
+        vals = np.einsum("kir,ik->kr", vals, _table(basis, pts[:, d], every))
     return vals.reshape(-1)
 
 
@@ -192,28 +178,6 @@ def _fold(rows: np.ndarray) -> np.ndarray:
         rows[:half] += rows[m - half : m]  # with m odd, the middle row waits a round
         m -= half
     return rows[0]
-
-
-def _cardinal(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The values at ``pts`` through one cardinal table per dimension.
-
-    In 1-D the products ``c_j L_j`` are summed by :func:`_fold`, as in
-    :func:`_barycentric`; otherwise BLAS matmul, then einsum.
-    """
-    table = lagrange_matrix(itp.bases[0], pts[:, 0])
-    if itp.ndim == 1:
-        return _fold(table * coeffs)
-    vals = table.T @ coeffs
-    for d, basis in enumerate(itp.bases[1:], 1):
-        vals = vals.reshape(len(pts), basis.size, -1)
-        vals = np.einsum("kir,ik->kr", vals, lagrange_matrix(basis, pts[:, d]))
-    return vals.reshape(-1)
-
-
-def _not_finite(point) -> InvalidParameterError:
-    return InvalidParameterError(
-        f"interpolant value is not finite at x = {np.asarray(point).tolist()}"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ def underflow_basis():
     return build_basis("identity", n=25, a=0.0, b=3e-9, scheme="equispaced")
 
 
+def reciprocal_overflow_basis():
+    # 41 equispaced nodes on [0, 1e-7]: the node-gap products reach 1e-300, so
+    # w_j / term_j overflows at some points where P is normal and every L_j finite
+    return build_basis("identity", n=40, a=0.0, b=1e-7, scheme="equispaced")
+
+
 def overflow_basis():
     # at x = 1e299 the product of the two terms overflows, while L_0 and L_1 do not
     return build_basis("identity", n=1, a=1.0, b=1e300)

@@ -5,8 +5,9 @@
     L_j(x) = prod_{i != j} (psi_i(x) - psi_i(x_i)) / (psi_i(x_j) - psi_i(x_i))
 
 in :class:`fractions.Fraction` from the very float nodes, parameters and
-points of an ``identity`` or ``rational`` basis (scalar or per-index ``L``,
-either variant), and rounds once, at the end.  What it leaves between
+points of an ``identity``, ``rational`` (scalar or per-index ``L``, either
+variant), ``fractional`` (integer ``delta``) or ``generalized`` (polynomial
+``expr``) basis, and rounds once, at the end.  What it leaves between
 itself and a float table is the float code's error alone.
 
 :func:`exact_values` forms an interpolant's value ``sum_j c_j L_j(x)``
@@ -21,6 +22,8 @@ from math import prod
 
 import numpy as np
 
+from dlf import exprlang
+
 
 def _maps(basis, num):
     """``psi_i`` on one number of type ``num``, for every index ``i``."""
@@ -33,7 +36,30 @@ def _maps(basis, num):
             lambda t, L=num(float(L)): (t - L if shifted else t) / (t + L)
             for L in psi.params["L"]
         ]
-    raise ValueError(f"no exact maps for kind {psi.kind!r}")
+    if psi.kind == "fractional" and psi.params["delta"].is_integer():
+        return [lambda t, power=int(psi.params["delta"]): t**power] * psi.size
+    if psi.kind == "generalized":
+        tree = exprlang.parse_expr(psi.params["expr"])
+        return [lambda t: _polynomial(tree, t, num)] * psi.size
+    raise ValueError(f"no exact maps for kind {psi.kind!r} with {psi.params}")
+
+
+def _polynomial(expr, t, num):
+    """A polynomial expression at ``t``, its float literals taken exactly as ``num``."""
+    if isinstance(expr, exprlang.Num):
+        return num(expr.value)
+    if isinstance(expr, exprlang.Var):
+        return t
+    if isinstance(expr, exprlang.Neg):
+        return -_polynomial(expr.operand, t, num)
+    if isinstance(expr, exprlang.BinOp) and expr.op in "+-*":
+        left, right = _polynomial(expr.left, t, num), _polynomial(expr.right, t, num)
+        return left + right if expr.op == "+" else left - right if expr.op == "-" else left * right
+    if isinstance(expr, exprlang.BinOp) and expr.op == "^" and isinstance(expr.right, exprlang.Num):
+        power = expr.right.value
+        if power.is_integer() and power >= 0:
+            return _polynomial(expr.left, t, num) ** int(power)
+    raise ValueError(f"{exprlang.format_expr(expr)!r} is not a polynomial")
 
 
 def _setup(basis, num):
@@ -55,10 +81,20 @@ def exact_table(basis, xs) -> np.ndarray:
     out = np.empty((size, len(xs)))
     for k, x in enumerate(xs):
         terms = [psi(Fraction(float(x))) - o for psi, o in zip(maps, own)]
-        for j in range(size):
-            num = prod(terms[i] for i in range(size) if i != j)
+        for j, num in enumerate(_products_but_one(terms)):
             out[j, k] = float(num / gaps[j])
     return out
+
+
+def _products_but_one(terms) -> list:
+    """Every ``prod_{i != j} terms_i``, from the products before and after ``j``."""
+    before = [1]
+    for t in terms[:-1]:
+        before.append(before[-1] * t)
+    after = [1]
+    for t in reversed(terms[1:]):
+        after.append(after[-1] * t)
+    return [b * a for b, a in zip(before, reversed(after))]
 
 
 def exact_values(basis, coeffs, xs) -> np.ndarray:

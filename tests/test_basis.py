@@ -320,11 +320,11 @@ def test_tensor_eval_peak_memory_is_about_the_output():
 def _earlier_rule_table(basis, xs):
     """The cardinal table by the rule the product test replaced: a column with a term
     in [-1e-150, 1e-150] is formed factor by factor in row order, any other one
-    divides its full product by each term."""
+    in the first barycentric form, (1 / gap product_j) / term_j times the full product."""
     terms = _terms(basis, xs)
     odd = np.logical_or.reduce((terms >= -1e-150) & (terms <= 1e-150))
     with np.errstate(all="ignore"):
-        table = terms.prod(axis=0) / terms / basis._denom_prod[:, None]
+        table = (1.0 / basis._denom_prod[:, None]) / terms * terms.prod(axis=0)
         for k in np.flatnonzero(odd):
             factors = terms[:, k, None] / basis._f_tab  # term_r / gap_rj in row r, column j
             np.fill_diagonal(factors, 1.0)
@@ -738,6 +738,24 @@ def test_weight_that_overflows_raises_naming_the_point(x, shown):
         with pytest.raises(InvalidParameterError) as exc:
             weight_eval(exponential_half_line_basis(), x)
     assert str(exc.value) == f"node product w is not finite at x = {shown}"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: lagrange_values(b, 300.0),
+        lambda b: lagrange_matrix(b, np.array([0.5, 300.0, 400.0])),
+        lambda b: lagrange_matrix(b, np.concatenate([np.full(20_000, 0.5), [300.0, 400.0]])),
+    ],
+    ids=["values", "matrix", "later-block"],
+)
+def test_cardinal_functions_that_overflow_raise_naming_the_point(call):
+    # every true L_j(300) is beyond the float range, by factors too; the table held inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as exc:
+            call(exponential_half_line_basis())
+    assert str(exc.value) == "cardinal functions are not finite at x = 300.0"
 
 
 def test_map_rule_names_the_order_and_the_first_bad_point():

@@ -441,6 +441,18 @@ class TestDiffmatCommand:
         assert body["message"].startswith(f"finite-difference stencil of order {order} ")
         assert not target.exists()
 
+    def test_oracle_where_reciprocals_overflow_judges_its_step(self, capsys, tmp_path):
+        # 41 nodes on [0, 1e-7]: some w_j / term_j overflow at the stencil points, where
+        # every L_j is finite; formed by factors, they leave the step to be judged
+        target = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys, "diffmat", "--route", "oracle", "--scheme", "equispaced", "--N", "40",
+            "--domain=0,1e-7", "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert stderr_json(err)["error"] == "fd-step"
+        assert not target.exists()
+
     def test_power_route(self, capsys):
         code, out, _ = run_cli(capsys, "diffmat", "--N", "3", "--route", "power",
                                "--order", "2")

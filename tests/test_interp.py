@@ -39,7 +39,7 @@ from dlf.interp import (
     write_artifact,
 )
 
-from conftest import KIND_CASES, build_basis
+from conftest import KIND_CASES, build_basis, reciprocal_overflow_basis, underflow_basis
 from exact import exact_values
 
 
@@ -167,14 +167,16 @@ def test_one_dimensional_tensor_matches_plain_interpolant_bitwise(rng):
                 assert eval_interpolant(itp, xs[k : k + 1, None])[0] == batch[k]
     # points whose P underflows (N=25 on [0, 3e-9]) and points where some
     # w_j / term_j overflows (N=40 on [0, 1e-7]), several in one batch
-    for n, b, odd in ((25, 3e-9, [1e-120, 1e-140, 2e-130]), (40, 1e-7, [])):
-        basis = build_basis("identity", n=n, a=0.0, b=b, scheme="equispaced")
+    cases = [(underflow_basis(), [1e-120, 1e-140, 2e-130]), (reciprocal_overflow_basis(), [])]
+    for basis, odd in cases:
+        b = basis.nodes.nodes[-1]
         itp = interpolate_1d(basis, rng.normal(size=basis.size))
         xs = rng.uniform(0.0, b, 200)
         xs[: len(odd)] = odd
+        hits = np.flatnonzero(np.abs(_terms(basis, xs).prod(axis=0)) < 2.0**-1022)
         with np.errstate(all="ignore"):
-            terms, _, hits, _ = _block(basis, xs)
-            overflows = np.isinf((itp.coeffs / basis._denom_prod)[:, None] / terms).any()
+            R, _ = _block(basis, xs, itp.coeffs[:, None])
+        overflows = np.isinf(R).any()
         assert set(range(len(odd))) <= set(hits) and (len(odd) > 0 or overflows)
         batch = eval_interpolant(itp, xs)
         for k in range(len(xs)):
@@ -197,6 +199,15 @@ ORACLE_CASES = {
 }
 
 
+def _two_division_table(basis, xs):
+    """The cardinal table as the product form divided it, P / term_j / gap product_j,
+    at points where every P is a normal number."""
+    terms = _terms(basis, xs)
+    full = terms.prod(axis=0)
+    assert np.all(np.abs(full) >= 2.0**-1022)
+    return full / terms / basis._denom_prod[:, None]
+
+
 @pytest.mark.parametrize("n", [8, 16, 64])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_values_against_the_exact_oracle(case, n, rng):
@@ -206,7 +217,7 @@ def test_values_against_the_exact_oracle(case, n, rng):
     coeffs = rng.normal(size=basis.size)
     xs = np.concatenate([rng.uniform(a, b, 100), basis.nodes.nodes[:-1] + 2.0**-40])
     exact = exact_values(basis, coeffs, xs)
-    table = lagrange_matrix(basis, xs)
+    table = _two_division_table(basis, xs)
     scale = np.abs(coeffs) @ np.abs(table)
     err = np.abs(eval_interpolant(interpolate_1d(basis, coeffs), xs) - exact) / scale
     err_table = np.abs(table.T @ coeffs - exact) / scale
@@ -366,9 +377,9 @@ def test_short_last_block_joins_the_one_before(monkeypatch):
     itp = interpolate_1d(basis, np.cos(basis.nodes.nodes))
     calls = []
 
-    def counted(basis, x):
+    def counted(basis, x, *args):
         calls.append(len(x))
-        return _block(basis, x)
+        return _block(basis, x, *args)
 
     monkeypatch.setattr(interp_module, "_block", counted)
     eval_interpolant(itp, np.linspace(-1.0, 1.0, 512))
@@ -401,9 +412,9 @@ def test_value_that_is_not_finite_names_its_point(p):
 
 
 def test_reciprocal_that_overflows_takes_the_cardinal_table(rng):
-    # 41 equispaced nodes on [0, 1e-7]: the node-gap products reach 1e-300, so
-    # w_j / term_j overflows at some points where P is normal and every L_j finite
-    basis = build_basis("identity", n=40, a=0.0, b=1e-7, scheme="equispaced")
+    # some w_j / term_j overflow where P is normal and every L_j finite: those points
+    # are evaluated again with every column formed by factors (9.97e-16 measured)
+    basis = reciprocal_overflow_basis()
     coeffs = np.ones(basis.size)
     xs = rng.uniform(0.0, 1e-7, 400)
     terms = _terms(basis, xs)
@@ -412,9 +423,8 @@ def test_reciprocal_that_overflows_takes_the_cardinal_table(rng):
     overflows = np.isinf(reciprocals).any(axis=0) & (np.abs(terms.prod(axis=0)) >= 2.0**-1022)
     assert 0 < overflows.sum() < len(xs)
     values = eval_interpolant(interpolate_1d(basis, coeffs), xs)
-    table = lagrange_matrix(basis, xs)
-    scale = np.abs(coeffs) @ np.abs(table)
-    assert np.all(np.abs(values - table.T @ coeffs) <= 1e-15 * scale)
+    scale = np.abs(coeffs) @ np.abs(lagrange_matrix(basis, xs))
+    assert np.all(np.abs(values - exact_values(basis, coeffs, xs)) <= 1e-15 * scale)
 
 
 # -- persistence -----------------------------------------------------------
