@@ -18,13 +18,15 @@ Every cardinal column comes from one kernel, ``_block``, in the first
 barycentric form ``L_j(x) = P(x) w_j / (psi_j(x) - psi_j(x_j))`` with
 ``P = prod_i (psi_i(x) - psi_i(x_i))`` and ``w_j`` the reciprocal node-gap
 product (Berrut & Trefethen, SIAM Rev. 2004); where ``P`` is zero,
-subnormal or not finite, from one fallback, ``_by_factors``.  ``_table``
-scales the kernel's columns by ``P`` for :func:`lagrange_values`,
+subnormal or not finite, from one fallback, ``_by_factors``.  ``_scaled``
+multiplies the kernel's columns by ``P``; ``_table`` also forms again by
+factors any column that comes out not finite, for :func:`lagrange_values`,
 :func:`lagrange_matrix` (in cache-sized blocks of points, ``_blocks``),
-``diffmat.dm_oracle_fd`` and ``interp.eval_interpolant``.  A family
-evaluates each distinct map (same kind part, same parameter) once per
-point.  :func:`dlf_eval` forms the defining product above and is the only
-reference the kernel is tested against.
+``diffmat.dm_oracle_fd`` and the retried points of
+``interp.eval_interpolant``.  A family evaluates each distinct map (same
+kind part, same parameter) once per point.  :func:`dlf_eval` forms the
+defining product above and is the only reference the kernel is tested
+against.
 
 Note on constant reproduction: ``sum_j L_j(x) = 1`` holds for every ``x``
 exactly when all maps coincide (or differ by affine transformations).
@@ -35,6 +37,7 @@ constants away from the nodes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -739,21 +742,18 @@ def _blocks(count: int, step: int) -> list:
     return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
-def _table(basis: DlfBasis, x, every: bool = False, strict: bool = False) -> np.ndarray:
+def _table(basis: DlfBasis, x, strict: bool = False) -> np.ndarray:
     """All ``L_j`` at one block of points: shape ``(size, K)``, ``K = 1`` for scalar ``x``.
 
-    The kernel's ``R_j = w_j / term_j`` times ``P`` (:func:`_block`), one
-    division and one multiplication per entry.  A column that comes out not
+    The columns of :func:`_scaled`, checked: a column that comes out not
     finite (``w_j / term_j`` can overflow where ``L_j`` does not) is formed
-    again by :func:`_by_factors`, as is every column with ``every``; one
-    that stays not finite raises :class:`InvalidParameterError` naming its
-    point if ``strict``.  Each column comes from its own point alone, so
-    blocks change no bit.
+    again by :func:`_by_factors`; one that stays not finite raises
+    :class:`InvalidParameterError` naming its point if ``strict``.  Each
+    column comes from its own point alone, so blocks change no bit.
     """
     with np.errstate(all="ignore"):
-        table, P = _block(basis, x, every=every)
-        table *= P
-        if not np.isfinite(table.sum()):  # else every entry is finite
+        table = _scaled(basis, x)
+        if not cmath.isfinite(table.sum()):  # else every entry is finite; real or complex
             bad = np.flatnonzero(~np.isfinite(table.sum(axis=0)))
             table[:, bad] = _by_factors(basis, _terms(basis, np.ravel(x)[bad]))
             finite = np.isfinite(table[:, bad]).all(axis=0)
@@ -763,7 +763,15 @@ def _table(basis: DlfBasis, x, every: bool = False, strict: bool = False) -> np.
     return table
 
 
-def _block(basis: DlfBasis, x, c=1.0, every: bool = False):
+def _scaled(basis: DlfBasis, x) -> np.ndarray:
+    """The kernel's ``R_j`` (:func:`_block`) times ``P``, unchecked: one division and
+    one multiplication per entry.  Callers hold numpy's floating-point warnings off."""
+    table, P = _block(basis, x)
+    table *= P
+    return table
+
+
+def _block(basis: DlfBasis, x, c=1.0):
     """The cardinal kernel: ``R_j = c_j w_j / term_j`` and ``P`` at one block of points.
 
     ``R`` is written over a fresh ``(size, K)`` table of the terms
@@ -771,13 +779,13 @@ def _block(basis: DlfBasis, x, c=1.0, every: bool = False):
     ``w_j = 1 / _denom_prod_j`` and ``c`` is 1 or a ``(size, 1)`` column of
     coefficients, so that ``c_j L_j = P R_j``.  A column whose ``P`` is
     zero, subnormal, overflowed or NaN, real or complex (one test for both),
-    or every column with ``every``, holds ``c_j L_j`` by :func:`_by_factors`
-    and has ``P = 1``.  Callers hold numpy's floating-point warnings off.
+    holds ``c_j L_j`` by :func:`_by_factors` and has ``P = 1``.  Callers
+    hold numpy's floating-point warnings off.
     """
     terms = _terms(basis, x).reshape(basis.size, -1)
     P = terms.prod(axis=0)
     # a NaN product fails >= too
-    odd = np.arange(P.size) if every else np.flatnonzero(~(abs(P) >= _TINY) | np.isinf(P))
+    odd = np.flatnonzero(~(abs(P) >= _TINY) | np.isinf(P))
     slow = _by_factors(basis, terms[:, odd]) * c if len(odd) else None
     np.divide(c / basis._denom_prod[:, None], terms, out=terms)
     if len(odd):

@@ -30,6 +30,7 @@ from .basis import (
     DlfBasis,
     _block,
     _blocks,
+    _scaled,
     _table,
     basis_from_spec,
     lagrange_matrix,
@@ -108,10 +109,11 @@ def eval_interpolant(itp: TensorInterpolant, x):
     of a block holds fewer than ``1.25 * 2**16`` entries (blocks of one
     point when a slice of the coefficient grid alone is longer), and each
     dimension contracts one table (:func:`_contract`).  A point whose value
-    comes out not finite is evaluated again with every cardinal column
-    formed by factors.  In 1-D a real point has the same value, to the
-    bit, alone or inside any batch.  A value that is not finite raises
-    :class:`InvalidParameterError` naming its point.
+    comes out not finite is evaluated again through the checked cardinal
+    tables, whose columns that are not finite are formed by factors.  In
+    1-D a real point has the same value, to the bit, alone or inside any
+    batch.  A value that is not finite raises :class:`InvalidParameterError`
+    naming its point.
     """
     p = itp.ndim
     pts = np.asarray(x)
@@ -135,7 +137,7 @@ def eval_interpolant(itp: TensorInterpolant, x):
             finite = np.isfinite(vals)
             if not finite.all():  # c_j w_j / term_j can overflow where c_j L_j does not
                 bad = np.flatnonzero(~finite)
-                vals[bad] = _contract(itp, pts[block][bad], coeffs, every=True)
+                vals[bad] = _contract(itp, pts[block][bad], coeffs, retry=True)
                 finite = np.isfinite(vals)
                 if not finite.all():
                     point = x if scalar else pts[block][np.argmin(finite)].tolist()
@@ -144,24 +146,29 @@ def eval_interpolant(itp: TensorInterpolant, x):
     return float(out[0]) if single else out
 
 
-def _contract(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, every=False):
+def _contract(itp: TensorInterpolant, pts: np.ndarray, coeffs: np.ndarray, retry=False):
     """The K values at ``pts``, contracting one table per dimension.
 
     In 1-D the table is the kernel's ``R_j = c_j w_j / term_j``
     (:func:`basis._block`); its rows are summed by :func:`_fold`, not in
     BLAS, so each point's sum is the same in any block, and only the K
-    sums are scaled by ``P``.  With more dimensions each one contracts the
-    cardinal table of :func:`basis._table` (BLAS matmul, then einsum).
-    ``every`` forms every column by factors.
+    sums are scaled by ``P``.  With more dimensions each one contracts
+    ``P R_j = L_j`` (:func:`basis._scaled`; BLAS matmul, then einsum).  A
+    ``retry`` contracts the checked tables of :func:`basis._table`, whose
+    columns that are not finite are formed again by factors; in 1-D it
+    folds the products ``c_j L_j``.
     """
+    if itp.ndim == 1 and retry:
+        return _fold(_table(itp.bases[0], pts[:, 0]) * coeffs)
     if itp.ndim == 1:
-        R, P = _block(itp.bases[0], pts[:, 0], coeffs, every)
+        R, P = _block(itp.bases[0], pts[:, 0], coeffs)
         return _fold(R) * P
+    form = _table if retry else _scaled
     # each table is formed in the expression that contracts it, never beside the last one
-    vals = _table(itp.bases[0], pts[:, 0], every).T @ coeffs
+    vals = form(itp.bases[0], pts[:, 0]).T @ coeffs
     for d, basis in enumerate(itp.bases[1:], 1):
         vals = vals.reshape(len(pts), basis.size, -1)
-        vals = np.einsum("kir,ik->kr", vals, _table(basis, pts[:, d], every))
+        vals = np.einsum("kir,ik->kr", vals, form(basis, pts[:, d]))
     return vals.reshape(-1)
 
 

@@ -413,7 +413,8 @@ def test_value_that_is_not_finite_names_its_point(p):
 
 def test_reciprocal_that_overflows_takes_the_cardinal_table(rng):
     # some w_j / term_j overflow where P is normal and every L_j finite: those points
-    # are evaluated again with every column formed by factors (9.97e-16 measured)
+    # are evaluated again through the checked table, whose columns that are not
+    # finite are formed by factors (9.97e-16 measured; 1.07e-15 over 13 seeds)
     basis = reciprocal_overflow_basis()
     coeffs = np.ones(basis.size)
     xs = rng.uniform(0.0, 1e-7, 400)
@@ -424,7 +425,7 @@ def test_reciprocal_that_overflows_takes_the_cardinal_table(rng):
     assert 0 < overflows.sum() < len(xs)
     values = eval_interpolant(interpolate_1d(basis, coeffs), xs)
     scale = np.abs(coeffs) @ np.abs(lagrange_matrix(basis, xs))
-    assert np.all(np.abs(values - exact_values(basis, coeffs, xs)) <= 1e-15 * scale)
+    assert np.all(np.abs(values - exact_values(basis, coeffs, xs)) <= 4e-15 * scale)
 
 
 # -- persistence -----------------------------------------------------------
