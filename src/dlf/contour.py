@@ -15,9 +15,13 @@ the identity family every ``j``-term is identical and the average
 collapses to the single classical Hermite integral, provided here
 separately as a cross-check.
 
+Both kernels factor as ``A_j(t) (1 - B(t))`` and ``-A_j(t) B(t)``, with
+``A_j = psi_j' u / (psi_j(t) - psi_j(x))`` and ``B = w(x) / w(t)``; only
+``A_j`` depends on ``j``, so the ``j``-average is taken of ``A_j`` alone.
+When every index shares one map, every ``A_j`` is the same single row.
 Quadrature is the periodic trapezoid rule on the circle, evaluated in one
-array pass: ``u`` and the maps are sampled once on all panel points and
-every ``j``-kernel is a row of one table.  The rule converges
+array pass: ``u`` and the maps are sampled once on all panel points, and
+each integral is one trapezoid sum.  The rule converges
 exponentially in the panel count for integrands analytic in a
 neighborhood of the circle.  That analyticity restricts the usable map
 families: entire maps (identity, integer-exponent fractional,
@@ -123,13 +127,12 @@ def _as_analytic(u) -> AnalyticFn:
 
 
 def _trapezoid(vals, zs, contour: Contour) -> complex:
-    """Trapezoid sums of samples at the panel points ``zs`` (last axis), averaged over rows."""
+    """The trapezoid sum of the samples ``vals`` at the panel points ``zs``."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        k = int(np.argmax(bad.reshape(-1, len(zs)).any(axis=0)))
-        raise ContourError(f"integrand not finite at panel point {zs[k]}")
+        raise ContourError(f"integrand not finite at panel point {zs[int(np.argmax(bad))]}")
     units = (zs - contour.center) / contour.radius
-    return complex(np.mean(contour.radius / contour.panels * np.sum(vals * units, axis=-1)))
+    return complex(contour.radius / contour.panels * np.sum(vals * units))
 
 
 def trapezoid_contour_quad(f, contour: Contour) -> complex:
@@ -164,65 +167,77 @@ def check_contour_eligibility(basis: DlfBasis, contour: Contour, u=None, targets
                 f"crosses the circle interior"
             )
     elif kind == "rational":
-        for p in basis.psi.pole_locations():
-            if abs(p - contour.center) <= contour.radius:
-                raise ContourError(
-                    f"rational map pole at {p} lies on or inside the circle "
-                    f"(center {contour.center}, radius {contour.radius})"
-                )
+        poles = basis.psi.pole_locations()
+        k = _first(np.abs(poles - contour.center) <= contour.radius)
+        if k is not None:
+            raise ContourError(
+                f"rational map pole at {poles[k]} lies on or inside the circle "
+                f"(center {contour.center}, radius {contour.radius})"
+            )
     else:
         raise ContourError(f"family kind {kind!r} is not supported for contour evaluation")
-    for xj in basis.nodes.nodes:
-        if not contour.encloses(xj):
+    nodes, targets = basis.nodes.nodes, tuple(targets)
+    points = np.concatenate((nodes, targets))
+    # "not within", so that a NaN point fails the clearance too
+    k = _first(~(np.abs(points - contour.center) <= (1.0 - NODE_CLEARANCE) * contour.radius))
+    if k is not None:
+        n = len(nodes)
+        what = f"node {nodes[k]}" if k < n else f"evaluation point {targets[k - n]}"
+        raise ContourError(
+            f"{what} misses the required clearance of {NODE_CLEARANCE:.0%} of the radius"
+        )
+    if u is not None and u.poles:
+        k = _first(np.abs(np.asarray(u.poles) - contour.center) <= contour.radius)
+        if k is not None:
             raise ContourError(
-                f"node {xj} misses the required clearance of "
-                f"{NODE_CLEARANCE:.0%} of the radius"
+                f"declared singularity of u at {u.poles[k]} lies on or inside the circle"
             )
-    for t in targets:
-        if not contour.encloses(t):
-            raise ContourError(
-                f"evaluation point {t} misses the required clearance of "
-                f"{NODE_CLEARANCE:.0%} of the radius"
-            )
-    if u is not None:
-        for p in u.poles:
-            if abs(p - contour.center) <= contour.radius:
-                raise ContourError(
-                    f"declared singularity of u at {p} lies on or inside the circle"
-                )
+
+
+def _first(hits: np.ndarray):
+    """The index of the first true entry of ``hits``, or None."""
+    return int(np.argmax(hits)) if hits.any() else None
 
 
 @dataclass(frozen=True)
 class _Panel:
-    """The circle tables of one evaluation, built for ``key = (basis, u, x, contour)``.
+    """The circle data of one evaluation, built for ``key = (basis, u, x, contour)``.
 
-    ``v0``/``v1`` hold ``psi_i``/``psi_i'`` at the panel points ``zs``, shape
-    ``(size, panels)``; ``wt``/``ut`` hold ``w``/``u`` there; ``wx`` and
-    ``psi_x`` are ``w(x)`` and every ``psi_i(x)``.
+    Per index ``j`` the interpolant kernel is ``A_j (1 - B)`` and the error
+    kernel ``-A_j B``, with ``A_j = psi_j' u / (psi_j - psi_j(x))`` and
+    ``B = w(x) / w``, all at the panel points ``zs``.  Only ``A_j`` depends
+    on ``j``, so ``a`` is its mean over ``j``: when every index shares one
+    map every row of ``A`` is the same, and ``a`` is that one row.  ``b``
+    is ``B``; ``ut``/``wt`` hold ``u``/``w`` at ``zs`` and ``wx`` is ``w(x)``.
     """
 
     key: tuple
     zs: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
-    wt: np.ndarray
     ut: np.ndarray
+    wt: np.ndarray
     wx: complex
-    psi_x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
 
 def _panel(basis: DlfBasis, u, x, contour: Contour) -> _Panel:
-    """Check eligibility, then evaluate ``u``, the maps and ``w`` on the circle once."""
+    """Check eligibility, sample ``u``, the maps and ``w`` on the circle, form ``a`` and ``b``."""
     check_contour_eligibility(basis, contour, _as_analytic(u), targets=(x,))
     zs = contour.panel_points()
     psi = basis.psi
+    psi_x = psi.values_at(x)
+    wx = complex(weight_eval(basis, x))
     with np.errstate(all="ignore"):
         v0 = psi.values_at(zs)
         wt = (v0 - basis._psi_own[:, None]).prod(axis=0)
         ut = np.broadcast_to(u(zs), zs.shape)
         v1 = psi.values_at(zs, order=1)
-    wx = complex(weight_eval(basis, x))
-    return _Panel((basis, u, x, contour), zs, v0, v1, wt, ut, wx, psi.values_at(x))
+        if psi.is_homogeneous:
+            a = v1[0] * ut / (v0[0] - psi_x[0])
+        else:
+            a = (v1 * ut / (v0 - psi_x[:, None])).mean(axis=0)
+        b = wx / wt
+    return _Panel((basis, u, x, contour), zs, ut, wt, wx, a, b)
 
 
 def _panel_for(basis: DlfBasis, u, x, contour: Contour, panel) -> _Panel:
@@ -235,22 +250,20 @@ def _panel_for(basis: DlfBasis, u, x, contour: Contour, panel) -> _Panel:
 def contour_interpolant(basis: DlfBasis, u, x, contour: Contour, *, panel=None) -> complex:
     """The interpolant value ``u_N(x)`` computed from the circle integrals.
 
-    Every ``j``-kernel is one row of a ``(size, panels)`` table.  ``panel``,
+    One trapezoid sum of ``a (1 - b)``, the ``j``-averaged kernel.  ``panel``,
     built by ``_panel`` for the same arguments, lets a caller that also
     wants :func:`contour_error` at ``x`` evaluate the circle only once.
     """
     p = _panel_for(basis, u, x, contour, panel)
     with np.errstate(all="ignore"):
-        table = p.v1 * p.ut * (p.wt - p.wx) / (p.wt * (p.v0 - p.psi_x[:, None]))
-        return _trapezoid(table, p.zs, contour)
+        return _trapezoid(p.a * (1 - p.b), p.zs, contour)
 
 
 def contour_error(basis: DlfBasis, u, x, contour: Contour, *, panel=None) -> complex:
     """The signed interpolation error ``u_N(x) - u(x)`` from the circle integrals."""
     p = _panel_for(basis, u, x, contour, panel)
     with np.errstate(all="ignore"):
-        table = p.v1 * p.wx * p.ut / (p.wt * (p.psi_x[:, None] - p.v0))
-        return _trapezoid(table, p.zs, contour)
+        return _trapezoid(-p.a * p.b, p.zs, contour)
 
 
 def _require_identity(basis: DlfBasis):

@@ -5,6 +5,8 @@ normalized circle integral equals the sum of residues of the enclosed
 poles, which is computable by hand.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +187,33 @@ class TestEligibility:
         with pytest.raises(ContourError, match="singularity"):
             check_contour_eligibility(basis, Contour(radius=2.0), u=u)
 
+    def test_first_offending_node_is_named(self):
+        basis = build_basis("identity", n=6)
+        nodes = basis.nodes.nodes
+        contour = Contour(center=0.5, radius=1.5)
+        # CGL nodes on [-1, 1]: only those below -0.85 miss the clearance
+        first = next(x for x in nodes if not contour.encloses(x))
+        with pytest.raises(ContourError, match=re.escape(f"node {first} misses")):
+            check_contour_eligibility(basis, contour, targets=(5.0,))
+
+    def test_first_offending_target_is_named(self):
+        basis = build_basis("identity", n=4)
+        with pytest.raises(ContourError, match=r"evaluation point \(1\.9\+0\.5j\) misses"):
+            check_contour_eligibility(basis, Contour(radius=2.0), targets=(0.2, 1.9 + 0.5j, 3.0))
+
+    def test_first_rational_pole_inside_is_named(self):
+        # per-index poles -3, -2.5, ..., -1: the circle reaches down to -2.1
+        basis = build_basis("rational", {"L": 3.0 - 0.5 * np.arange(5)}, n=4, a=0.0, b=1.0)
+        poles = basis.psi.pole_locations()
+        with pytest.raises(ContourError, match=re.escape(f"rational map pole at {poles[2]} ")):
+            check_contour_eligibility(basis, Contour(center=0.5, radius=2.6))
+
+    def test_first_declared_u_pole_inside_is_named(self):
+        basis = build_basis("identity", n=4)
+        u = AnalyticFn(np.exp, poles=(5.0, 0.2j, 0.3))
+        with pytest.raises(ContourError, match=re.escape("singularity of u at 0.2j lies")):
+            check_contour_eligibility(basis, Contour(radius=2.0), u=u)
+
     def test_interpolant_entry_point_checks_too(self):
         basis = build_basis("mixed", {"split": 2}, n=4, a=0.1, b=0.9)
         with pytest.raises(ContourError):
@@ -346,11 +375,23 @@ def scalar_reference(basis, u, x, contour, error):
     return complex(np.mean(contour.radius / contour.panels * sums))
 
 
+# the same circles with a map per index: these take the mean over the rows
+# of one table instead of the single row of a shared map
+PER_INDEX_CASES = [
+    ("rational", lambda n: {"L": 1.0 + np.arange(n + 1) / (2 * n)}, (0.0, 1.0), 0.5, 0.6),
+    ("exponential", lambda n: {"rates": 0.5 + 0.4 * np.arange(n + 1) / n}, (-1.0, 1.0), 0.0, 1.5),
+]
+ARRAY_PASS_CASES = ELIGIBLE_CASES + PER_INDEX_CASES
+ARRAY_PASS_IDS = [c[0] for c in ELIGIBLE_CASES] + [f"{c[0]}-per-index" for c in PER_INDEX_CASES]
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
-@pytest.mark.parametrize("case", ELIGIBLE_CASES, ids=[c[0] for c in ELIGIBLE_CASES])
+@pytest.mark.parametrize("case", ARRAY_PASS_CASES, ids=ARRAY_PASS_IDS)
 def test_array_pass_matches_scalar_loop(case, n):
     kind, params, (a, b), center, radius = case
-    basis = build_basis(kind, params, n=n, a=a, b=b)
+    per_index = callable(params)
+    basis = build_basis(kind, params(n) if per_index else params, n=n, a=a, b=b)
+    assert basis.psi.is_homogeneous is not per_index
     contour = Contour(center, radius, panels=128)
     # a point off the nodes, and two nodes, where w(x) and the error vanish
     for x in (a + 0.3 * (b - a), float(basis.nodes.nodes[1]), b):
@@ -358,6 +399,18 @@ def test_array_pass_matches_scalar_loop(case, n):
             got = form(basis, smooth_u, x, contour)
             want = scalar_reference(basis, smooth_u, x, contour, error)
             assert abs(got - want) < 1e-13, (form.__name__, x)
+
+
+@pytest.mark.parametrize("k", [0, 5, 37])
+def test_pole_of_u_on_a_panel_point_is_named(k):
+    # no errstate here: a leaked RuntimeWarning fails under the suite's filter
+    basis = build_basis("identity", n=6)
+    contour = Contour(radius=2.0, panels=64)
+    pole = contour.panel_points()[k]
+    u = lambda z: np.exp(z) / (z - pole)
+    for form in (contour_interpolant, contour_error, contour_reconstruction_gap):
+        with pytest.raises(ContourError, match=re.escape(f"at panel point {pole}")):
+            form(basis, u, 0.3, contour)
 
 
 @pytest.mark.parametrize("n", [8, 16])
