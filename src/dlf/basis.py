@@ -10,9 +10,9 @@ other maps produce fractional, rational, exponential, and trigonometric
 interpolants on the same nodes.  The basis exists whenever every map
 separates the nodes (``psi_i(x_j) != psi_i(x_i)`` for ``i != j``) and has a
 nonzero slope at its own node; :func:`validate_basis` enforces both with an
-absolute tolerance and precomputes every quantity the rest of the package
-needs (first and second derivatives of the node-product function ``w`` at
-the nodes, and the scale factors ``mu_j``).
+absolute tolerance and precomputes what every caller needs (the node gaps
+and the first derivative of the node-product function ``w`` at the nodes);
+its second derivative and the scale factors ``mu_j`` are formed on first read.
 
 Every cardinal column comes from one kernel, ``_block``, in the first
 barycentric form ``L_j(x) = P(x) w_j / (psi_j(x) - psi_j(x_j))`` with
@@ -38,6 +38,7 @@ constants away from the nodes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +98,10 @@ _SHORT_BLOCK = 0.25
 #: the smallest normal float: a cardinal column whose full product is smaller
 #: in magnitude, or not finite, cannot scale the kernel's column by it
 _TINY = np.finfo(float).tiny
+
+_OVERFLOW = (
+    "node-gap products overflow or underflow for kind {!r} at N={}; use fewer nodes or slower-growing maps"
+)
 
 # practical cap for kinds whose derivatives exist in closed form at any order
 _UNBOUNDED_ORDER = 100
@@ -333,7 +338,7 @@ def make_psi_family(kind: str, params: dict | None = None, *, size: int) -> PsiF
             )
         max_order = int(params.get("max_derivative_order", 10))
         if max_order < 2:
-            # basis validation caches w'' and therefore needs two derivatives
+            # w'' at the nodes, which D^(1) needs, takes two derivatives
             raise InvalidParameterError("max_derivative_order must be >= 2")
         fam = PsiFamily(
             "generalized",
@@ -500,23 +505,40 @@ def _node_values(scheme: str, N: int, a: float, b: float) -> np.ndarray:
 class DlfBasis:
     """A validated basis with cached node-product derivatives.
 
-    Produced by :func:`validate_basis`.  ``mu``, ``wprime_at_nodes`` and
-    ``wsecond_at_nodes`` are the per-node scale factor
-    ``mu_j = psi_j'(x_j) / w'(x_j)`` and the first two derivatives of the
-    node-product function ``w(x) = prod_i (psi_i(x) - psi_i(x_i))``.
+    Produced by :func:`validate_basis`.  ``wprime_at_nodes``, ``wsecond_at_nodes``
+    and ``mu`` are ``w'(x_j)``, ``w''(x_j)`` for ``w(x) = prod_i (psi_i(x) - psi_i(x_i))``
+    and ``mu_j = psi_j'(x_j) / w'(x_j)``; the last two, with ``psi_j''(x_j)``, are
+    formed and checked together on the first read of any (:attr:`_seconds`).
     """
 
     psi: PsiFamily
     nodes: NodeSet
-    mu: np.ndarray
     wprime_at_nodes: np.ndarray
-    wsecond_at_nodes: np.ndarray
     # internal caches
     _psi_own: np.ndarray = field(repr=False, default=None)  # psi_i(x_i)
     _f_tab: np.ndarray = field(repr=False, default=None)  # psi_i(x_j) - psi_i(x_i)
     _denom_prod: np.ndarray = field(repr=False, default=None)
     _dpsi_own: np.ndarray = field(repr=False, default=None)  # psi_j'(x_j)
-    _d2psi_own: np.ndarray = field(repr=False, default=None)  # psi_j''(x_j)
+
+    @functools.cached_property
+    def _seconds(self) -> tuple:
+        """``(w''(x_j), mu_j, psi_j''(x_j))``; one not finite raises :class:`InvalidParameterError`."""
+        xs, size = self.nodes.nodes, self.size
+        d2psi_own = np.diag(self.psi.values_at(xs, order=2)).copy()
+        off = ~np.eye(size, dtype=bool)
+        dpsi_off = self.psi.values_at(xs, order=1).T[off].reshape(size, size - 1)
+        with np.errstate(all="ignore"):
+            # w''(x_j) = psi_j'' * prod + 2 psi_j' * prod * sum_{s != j} psi_s'(x_j)/f_s(x_j)
+            s = np.sum(dpsi_off / self._f_tab.T[off].reshape(size, size - 1), axis=1)
+            wsecond = (d2psi_own + 2 * self._dpsi_own * s) * self._denom_prod
+            mu = self._dpsi_own / self.wprime_at_nodes  # equals 1 / denom_prod
+        if not np.all(np.isfinite([wsecond, mu])):
+            raise InvalidParameterError(_OVERFLOW.format(self.psi.kind, self.nodes.n))
+        return wsecond, mu, d2psi_own
+
+    wsecond_at_nodes = property(lambda self: self._seconds[0])
+    mu = property(lambda self: self._seconds[1])
+    _d2psi_own = property(lambda self: self._seconds[2])  # psi_j''(x_j)
 
     @property
     def size(self) -> int:
@@ -562,7 +584,7 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
 
     xs = nodes.nodes
     psi_tab = psi.values_at(xs)  # (size, size): psi_i(x_j)
-    dpsi_tab = psi.values_at(xs, order=1)
+    dpsi_own = np.diag(psi.values_at(xs, order=1)).copy()  # psi_j'(x_j)
 
     psi_own = np.diag(psi_tab).copy()  # a view would keep the table alive
     f_tab = psi_tab - psi_own[:, None]  # f_i(x_j) = psi_i(x_j) - psi_i(x_i)
@@ -574,39 +596,27 @@ def validate_basis(psi: PsiFamily, nodes: NodeSet) -> DlfBasis:
         i, j = np.argwhere(bad)[0]
         raise SeparationError(int(i), int(j), float(gaps[i, j]), TAU_SEP)
 
-    dpsi_own = np.diag(dpsi_tab).copy()
     small = np.abs(dpsi_own) <= TAU_SEP
     if np.any(small):
         i = int(np.argmax(small))
         raise DegenerateDerivativeError(i, float(dpsi_own[i]), TAU_SEP)
-    d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
 
-    # row j holds the off-diagonal entries of column j, in row order
-    f_off = f_tab.T[off].reshape(size, size - 1)
     with np.errstate(all="ignore"):
-        denom_prod = np.prod(f_off, axis=1)
+        # row j holds the off-diagonal entries of column j, in row order
+        denom_prod = np.prod(f_tab.T[off].reshape(size, size - 1), axis=1)
         wprime = dpsi_own * denom_prod
-        # w''(x_j) = psi_j'' * prod + 2 psi_j' * prod * sum_{s != j} psi_s'(x_j)/f_s(x_j)
-        s = np.sum(dpsi_tab.T[off].reshape(size, size - 1) / f_off, axis=1)
-        wsecond = (d2psi_own + 2 * dpsi_own * s) * denom_prod
-        mu = dpsi_own / wprime  # equals 1 / denom_prod
-    if not np.all(np.isfinite([denom_prod, wprime, wsecond, mu])) or np.any(denom_prod == 0):
-        raise InvalidParameterError(
-            f"node-gap products overflow or underflow for kind {psi.kind!r} at "
-            f"N={nodes.n}; use fewer nodes or slower-growing maps"
-        )
+    # psi_j'(x_j) is finite and nonzero: so are the node-gap products if w' is
+    if not np.all(np.isfinite(wprime) & (wprime != 0)):
+        raise InvalidParameterError(_OVERFLOW.format(psi.kind, nodes.n))
 
     return DlfBasis(
         psi=psi,
         nodes=nodes,
-        mu=mu,
         wprime_at_nodes=wprime,
-        wsecond_at_nodes=wsecond,
         _psi_own=psi_own,
         _f_tab=f_tab,
         _denom_prod=denom_prod,
         _dpsi_own=dpsi_own,
-        _d2psi_own=d2psi_own,
     )
 
 

@@ -4,7 +4,9 @@ Subcommands: ``basis`` (validate a basis and dump its nodes), ``diffmat``
 (emit a derivative matrix as CSV), ``interp`` (build and sample an
 interpolant), ``solve`` (run a collocation problem from a JSON config),
 ``converge`` (N-sweep with error and timing columns), ``contour-check``
-(compare direct and contour-integral evaluation).
+(compare direct and contour-integral evaluation).  An argv that starts with
+a subcommand's name goes straight to that subcommand's parser, and any other
+(none, ``--help``, an unknown name) to the full parser: one pass either way.
 
 Exit codes: 0 success, 1 usage, config or file error (``io`` for an
 ``OSError`` such as a directory at an output path), 2 numerical failure.
@@ -564,6 +566,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     p.set_defaults(func=_cmd_contour_check)
 
+    parser.subcommands = sub.choices  # name -> parser, for main's one-pass dispatch
     return parser
 
 
@@ -577,9 +580,13 @@ def _fail(code: int, tag: str, message: str, detail: dict | None = None) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if argv and argv[0] in parser.subcommands:  # what the full parser would hand on
+            args = parser.subcommands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
+        if not args.command:
             raise UsageError("a subcommand is required (see dlf --help)")
         return args.func(args)
     except UsageError as e:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# contour.weight_eval is not called here; it stays because perfbench/tracing.py patches it
 from .basis import DlfBasis, weight_eval
 from .errors import ContourError, InvalidParameterError
 
@@ -226,8 +227,11 @@ def _panel(basis: DlfBasis, u, x, contour: Contour) -> _Panel:
     zs = contour.panel_points()
     psi = basis.psi
     psi_x = psi.values_at(x)
-    wx = complex(weight_eval(basis, x))
+    basis._check_point(x)
     with np.errstate(all="ignore"):
+        wx = complex(np.prod(psi_x - basis._psi_own))  # w(x), as weight_eval forms it
+        if not cmath.isfinite(wx):
+            raise InvalidParameterError(f"node product w is not finite at x = {x}")
         v0 = psi.values_at(zs)
         wt = (v0 - basis._psi_own[:, None]).prod(axis=0)
         ut = np.broadcast_to(u(zs), zs.shape)

@@ -109,8 +109,8 @@ def dm_matrix(basis: DlfBasis, m: int) -> DiffMatrix:
     if m == 1:
         return d1
     xs = basis.nodes.nodes
-    # p[k][i] = psi_i^(k+1)(x_i); validate_basis caches the first two and keeps
-    # the slope p[0] away from 0
+    # p[k][i] = psi_i^(k+1)(x_i); the basis caches the first two, and validate_basis
+    # keeps the slope p[0] away from 0
     p = [basis._dpsi_own, basis._d2psi_own] + [
         np.diag(basis.psi.values_at(xs, order=k + 1)) for k in range(2, m)
     ]

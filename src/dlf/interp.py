@@ -17,6 +17,7 @@ cardinal tables.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -130,6 +131,11 @@ def eval_interpolant(itp: TensorInterpolant, x):
     for d, basis in enumerate(itp.bases):
         basis._check_point(x if scalar else pts[:, d])
     coeffs = itp.coeffs.reshape(itp.bases[0].size, -1)
+    if scalar and pts.dtype.kind != "c":  # one real point: no blocks, no output array
+        with np.errstate(all="ignore"):
+            value = float(_contract(itp, pts, coeffs)[0])
+        if math.isfinite(value):
+            return value  # else the block below retries it, or names it
     out = np.empty(len(pts), np.result_type(pts, float))
     for block in _blocks(len(pts), max(1, _BLOCK_ENTRIES // max(coeffs.shape))):
         with np.errstate(all="ignore"):

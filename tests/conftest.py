@@ -32,6 +32,25 @@ def build_basis(kind="identity", params=None, n=8, a=-1.0, b=1.0, scheme="cgl"):
     return validate_basis(fam, nodes)
 
 
+def eager_seconds(basis):
+    """``(w'', mu, psi'')`` at the nodes, formed eagerly from fresh map tables in one
+    pass: the reference for the quantities a basis forms on first read."""
+    psi, xs, size = basis.psi, basis.nodes.nodes, basis.size
+    psi_tab, dpsi_tab = psi.values_at(xs), psi.values_at(xs, order=1)
+    f_tab = psi_tab - np.diag(psi_tab).copy()[:, None]
+    dpsi_own = np.diag(dpsi_tab).copy()
+    d2psi_own = np.diag(psi.values_at(xs, order=2)).copy()
+    off = ~np.eye(size, dtype=bool)
+    f_off = f_tab.T[off].reshape(size, size - 1)
+    with np.errstate(all="ignore"):
+        denom_prod = np.prod(f_off, axis=1)
+        wprime = dpsi_own * denom_prod
+        s = np.sum(dpsi_tab.T[off].reshape(size, size - 1) / f_off, axis=1)
+        wsecond = (d2psi_own + 2 * dpsi_own * s) * denom_prod
+        mu = dpsi_own / wprime
+    return wsecond, mu, d2psi_own
+
+
 def underflow_basis():
     # 26 nodes 1.2e-10 apart: at x = 1e-120 no term is below 1e-150, yet the
     # product of all 26 underflows to 0

@@ -17,6 +17,7 @@ from dlf.basis import (
     FAMILY_KINDS,
     _blocks,
     NodeSet,
+    PsiFamily,
     basis_from_spec,
     dlf_eval,
     dlf_limit,
@@ -43,6 +44,7 @@ from conftest import (
     HOMOGENEOUS_CASES,
     KIND_CASES,
     build_basis,
+    eager_seconds,
     overflow_basis,
     underflow_basis,
 )
@@ -448,6 +450,43 @@ def test_basis_holds_one_square_table(kind):
     assert square == ["_f_tab"]
 
 
+@pytest.fixture
+def orders(monkeypatch):
+    """The order of every ``PsiFamily.values_at`` call, in call order."""
+    seen = []
+    values_at = PsiFamily.values_at
+
+    def counting_values_at(self, x, order=0):
+        seen.append(order)
+        return values_at(self, x, order)
+
+    monkeypatch.setattr(PsiFamily, "values_at", counting_values_at)
+    return seen
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_building_a_basis_reads_maps_of_order_0_and_1_only(kind, orders):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=8, a=a, b=b)
+    assert orders == [0, 1]
+    # w'', mu and psi'' at the nodes come together, on the first read of any
+    basis.mu
+    assert orders == [0, 1, 2, 1]
+    basis.wsecond_at_nodes, basis._d2psi_own
+    assert orders == [0, 1, 2, 1]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_lazy_node_quantities_equal_the_eager_formula(kind, n):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=n, a=a, b=b)
+    wsecond, mu, d2psi_own = eager_seconds(basis)
+    assert basis.wsecond_at_nodes.tobytes() == wsecond.tobytes()
+    assert basis.mu.tobytes() == mu.tobytes()
+    assert basis._d2psi_own.tobytes() == d2psi_own.tobytes()
+
+
 @pytest.mark.parametrize(
     "kind, key",
     [("rational", "L"), ("exponential", "rates"), ("fourier-sin", "freqs"), ("fourier-cos", "freqs")],
@@ -676,6 +715,24 @@ def test_size_mismatch():
     fam = make_psi_family("identity", size=2)
     with pytest.raises(InvalidParameterError):
         validate_basis(fam, nodes)
+
+
+def test_overflowing_second_derivative_fails_at_first_read():
+    # default rates 1..37 at N=36: the node-gap products and w' are finite, w'' is not
+    basis = validate_basis(
+        make_psi_family("exponential", size=37), generate_nodes("cgl", 36, -1.0, 1.0)
+    )
+    for read in (lambda: basis.wsecond_at_nodes, lambda: basis.mu, lambda: basis._d2psi_own):
+        with pytest.raises(InvalidParameterError) as exc:
+            read()
+        assert str(exc.value) == (
+            "node-gap products overflow or underflow for kind 'exponential' at N=36; "
+            "use fewer nodes or slower-growing maps"
+        )
+    assert np.isfinite(lagrange_values(basis, 0.3)).all()
+    # at N=37 w' overflows too: the build rejects it
+    with pytest.raises(InvalidParameterError, match="'exponential' at N=37"):
+        validate_basis(make_psi_family("exponential", size=38), generate_nodes("cgl", 37, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("n", [48, 64])

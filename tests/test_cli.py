@@ -5,7 +5,9 @@ stdout/stderr can be asserted cheaply; one test execs the installed
 console script to prove the packaging entry point works.
 """
 
+import argparse
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -24,6 +26,7 @@ from dlf.cli import (
     main,
 )
 from dlf import cli
+from dlf.basis import FAMILY_KINDS
 from dlf.interp import TensorInterpolant, eval_interpolant, load_interpolant
 from dlf.solver import SolveResult, bases_from_config, load_config, solve_config
 
@@ -248,6 +251,149 @@ class TestDispatch:
         )
         assert code == 2
         assert "error" in stderr_json(err)
+
+
+# argv, exit code, stdout and stderr, as the parser that parsed every argv twice
+# (once for "dlf", once for the subcommand) gave them, at 80 columns
+USAGE_CASES = [
+    ([], 1, "", '{"error": "usage", "message": "a subcommand is required (see dlf --help)"}\n'),
+    (
+        ["--help"], 0,
+        "usage: dlf [-h] command ...\n\nCommand line front end.\n\npositional arguments:\n"
+        "  command\n    basis        validate a basis and dump its nodes\n"
+        "    diffmat      emit a derivative matrix as CSV\n"
+        "    interp       interpolate an expression and sample it\n"
+        "    solve        solve a collocation problem from a config\n"
+        "    converge     N-sweep over a config, report errors\n    contour-check\n"
+        "                 direct vs contour-integral evaluation\n\noptions:\n"
+        "  -h, --help     show this help message and exit\n",
+        "",
+    ),
+    (
+        ["bogus"], 1, "",
+        '{"error": "usage", "message": "argument command: invalid choice: \'bogus\' (choose from '
+        "'basis', 'diffmat', 'interp', 'solve', 'converge', 'contour-check')\"}\n",
+    ),
+    (
+        ["contour-check", "--bogus"], 1, "",
+        '{"error": "usage", "message": "unrecognized arguments: --bogus"}\n',
+    ),
+    (
+        ["contour-check", "--help"], 0,
+        "usage: dlf contour-check [-h] [--family FAMILY] [--params PARAMS]\n"
+        "                         [--psi-expr PSI_EXPR] [--scheme SCHEME] [--N N]\n"
+        "                         [--domain DOMAIN] [--nodes NODES] [--u-expr U_EXPR]\n"
+        "                         [--center CENTER] [--radius RADIUS] [--panels PANELS]\n"
+        "                         [--points POINTS] [--out OUT]\n\noptions:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --family FAMILY      map family kind (default identity)\n"
+        "  --params PARAMS      family parameters as a JSON object\n"
+        "  --psi-expr PSI_EXPR  expression in x; shorthand for a generalized family\n"
+        "  --scheme SCHEME      node scheme: cgl (default) or equispaced\n"
+        "  --N N                node count minus one\n"
+        "  --domain DOMAIN      domain as 'a,b' (b may be inf)\n"
+        "  --nodes NODES        explicit nodes as comma-separated values\n"
+        "  --u-expr U_EXPR      analytic test function\n"
+        "  --center CENTER      circle center (complex literal)\n"
+        "  --radius RADIUS\n  --panels PANELS\n"
+        "  --points POINTS      sample point count\n"
+        "  --out OUT            CSV output path (stdout when omitted)\n",
+        "",
+    ),
+    (
+        ["interp", "--N", "4"], 1, "",
+        '{"error": "usage", "message": "the following arguments are required: --expr"}\n',
+    ),
+    (
+        ["interp", "--expr", "x", "--domain", "-1,1"], 1, "",
+        '{"error": "usage", "message": "argument --domain: expected one argument; a value that '
+        "starts with '-' needs the --domain=VALUE form, as in --domain=-1,1\"}\n",
+    ),
+]
+
+
+class TestOnePassDispatch:
+    @pytest.mark.parametrize("argv, code, out, err", USAGE_CASES)
+    def test_usage_help_and_errors_are_unchanged(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = main(argv)
+        except SystemExit as e:  # --help
+            got = e.code
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, out, err)
+
+    def test_module_execution_reads_sys_argv(self):
+        argv, code, out, err = USAGE_CASES[4]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dlf", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, COLUMNS="80"),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_a_subcommand_is_parsed_in_one_pass(self, capsys, monkeypatch):
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            passes.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        assert run_cli(capsys, "basis", "--N", "2")[0] == 0
+        assert passes == ["dlf basis"]
+        passes.clear()
+        assert run_cli(capsys, "bogus")[0] == 1
+        assert passes == ["dlf"]
+
+
+class TestLazyNodeQuantities:
+    """The node values of w'', mu and the second map derivative are formed on first read."""
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_basis_and_diffmat_csv_equal_the_eager_formula(self, capsys, kind):
+        from conftest import KIND_CASES, build_basis, eager_seconds
+        from dlf.diffmat import dm_matrix
+
+        kind, params, (a, b) = KIND_CASES[kind]
+        flags = ["--family", kind, "--params", json.dumps(params), f"--domain={a},{b}", "--N", "12"]
+        eager = build_basis(kind, params, n=12, a=a, b=b)
+        eager.__dict__["_seconds"] = eager_seconds(eager)  # every quantity formed up front
+        wsecond, mu, _ = eager._seconds
+        rows = zip(eager.nodes.nodes, mu, eager.wprime_at_nodes, wsecond)
+        expected = "j,x_j,mu_j,wprime_j,wsecond_j\n" + "".join(
+            f"{j}," + ",".join(f"{float(v):.16e}" for v in row) + "\n" for j, row in enumerate(rows)
+        )
+        assert run_cli(capsys, "basis", *flags) == (0, expected, "")
+        for m in (1, 2, 3):
+            expected = reference_csv(None, dm_matrix(eager, m).entries)
+            assert run_cli(capsys, "diffmat", *flags, "--order", str(m)) == (0, expected, "")
+
+    def test_only_a_second_derivative_overflow_passes_interp(self, capsys):
+        # default rates 1..37 at N=36 on [-1, 1]: only w'' overflows; at N=37 w' does too
+        flags = ["--family", "exponential", "--N", "36"]
+        err = (
+            '{"error": "invalid-parameter", "message": "node-gap products overflow or underflow '
+            "for kind 'exponential' at N=36; use fewer nodes or slower-growing maps\"}\n"
+        )
+        code, out, _ = run_cli(capsys, "interp", *flags, "--expr", "x", "--samples", "3")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert run_cli(capsys, "basis", *flags) == (2, "", err)
+        assert run_cli(capsys, "diffmat", *flags) == (2, "", err)
+        flags[-1] = "37"
+        assert run_cli(capsys, "interp", *flags, "--expr", "x")[:2] == (2, "")
+
+    def test_a_second_map_derivative_that_is_not_finite_fails_its_reader(self, capsys):
+        # psi'' = 0.75 x^-0.5 is infinite at the node 0, psi and psi' are finite there
+        flags = ["--psi-expr", "x^1.5 + x", "--domain", "0,1", "--N", "6"]
+        err = '{"error": "expr-eval", "message": "non-finite result evaluating \'0.75 * x^(-0.5)\'"}\n'
+        code, out, _ = run_cli(capsys, "interp", *flags, "--expr", "x", "--samples", "2")
+        assert (code, out) == (0, "x,u\n" + reference_csv(None, [[0.0, 0.0], [1.0, 1.0]]))
+        assert run_cli(capsys, "diffmat", *flags) == (2, "", err)
+        assert run_cli(capsys, "basis", *flags) == (2, "", err)
 
 
 class TestBasisCommand:

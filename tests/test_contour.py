@@ -451,8 +451,8 @@ def test_interpolant_evaluates_u_and_maps_once(counted, n, panels):
     basis = build_basis("exponential", {"rates": 0.7}, n=n)
     calls.update(u=0, values_at=0)
     contour_interpolant(basis, u, 0.3, Contour(radius=1.5, panels=panels))
-    # psi and psi' on the panel points, psi(x), and w(x)
-    assert calls == {"u": 1, "values_at": 4}
+    # psi and psi' on the panel points, and psi(x), which also gives w(x)
+    assert calls == {"u": 1, "values_at": 3}
 
 
 def test_reconstruction_gap_shares_one_panel_build(counted):
@@ -461,7 +461,7 @@ def test_reconstruction_gap_shares_one_panel_build(counted):
     calls.update(u=0, values_at=0)
     contour_reconstruction_gap(basis, u, 0.3, Contour(radius=2.0))
     # one array call on the circle, one scalar call for u(x)
-    assert calls == {"u": 2, "values_at": 4}
+    assert calls == {"u": 2, "values_at": 3}
 
 
 def test_panel_data_must_match_the_call():

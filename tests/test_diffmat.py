@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dlf.basis import NodeSet, make_psi_family, validate_basis
+from dlf.basis import FAMILY_KINDS, NodeSet, PsiFamily, make_psi_family, validate_basis
 from dlf.diffmat import (
     DiffMatrix,
     PROVENANCES,
@@ -27,7 +27,7 @@ from dlf.errors import (
     InvalidParameterError,
 )
 
-from conftest import build_basis
+from conftest import KIND_CASES, build_basis
 
 
 def square_map_basis():
@@ -174,6 +174,25 @@ def test_generalized_map_order_cap():
     dm_matrix(basis, 2)  # needs psi'' only
     with pytest.raises(DerivativeOrderError):
         dm_matrix(basis, 3)  # needs psi''' which the cap forbids
+
+
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_a_second_d1_matrix_forms_nothing_new(kind, monkeypatch):
+    kind, params, (a, b) = KIND_CASES[kind]
+    basis = build_basis(kind, params, n=8, a=a, b=b)
+    orders = []
+    values_at = PsiFamily.values_at
+
+    def counting_values_at(self, x, order=0):
+        orders.append(order)
+        return values_at(self, x, order)
+
+    monkeypatch.setattr(PsiFamily, "values_at", counting_values_at)
+    first = d1_matrix(basis).entries
+    assert orders == [2, 1]  # psi'' at the nodes, and psi' for w''
+    assert d1_matrix(basis).entries.tobytes() == first.tobytes()
+    dm_matrix(basis, 3)
+    assert orders == [2, 1, 3]  # only the third derivative is new
 
 
 def test_dm_matrix_rejects_bad_order():
